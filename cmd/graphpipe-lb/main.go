@@ -19,7 +19,8 @@
 // plan/artifact bodies are re-verified against their fingerprint before
 // relaying (a corrupt answer fails over, never reaches a client), and
 // artifact reads can hedge to a second replica (-hedge-delay). GET
-// /v1/stats returns every shard's snapshot, their field-wise sum, and
+// /v1/stats scrapes every shard's /metrics and returns each shard's
+// stats, the series-by-series sum of those scrapes under "fleet", and
 // the router's own forwarding counters, breaker states included.
 //
 // SIGINT/SIGTERM drain in-flight proxied requests before exiting, same

@@ -195,6 +195,12 @@ func (s Spec) Canonical() string {
 	return sb.String()
 }
 
+// MaxSpecDevices bounds the devices an explicit spec may assign. Specs
+// arrive over the network (graphpiped requests, graphpipe-lb
+// fingerprinting), and ParseSpec materializes one entry per device, so
+// the running total is checked before anything is appended.
+const MaxSpecDevices = 1 << 16
+
 // ParseSpec decodes an explicit topology spec string (the inverse of
 // Spec.Canonical, though it accepts arbitrary class/level names).
 func ParseSpec(name string) (Spec, error) {
@@ -266,6 +272,9 @@ func ParseSpec(name string) (Spec, error) {
 				ci, ok := classIdx[cls]
 				if !ok {
 					return Spec{}, fmt.Errorf("cluster: assignment %q references unknown class %q", as, cls)
+				}
+				if n > MaxSpecDevices-len(spec.Assign) {
+					return Spec{}, fmt.Errorf("cluster: assignment in %q exceeds %d devices", name, MaxSpecDevices)
 				}
 				for i := 0; i < n; i++ {
 					spec.Assign = append(spec.Assign, ci)

@@ -218,10 +218,10 @@ func TestChaosSoakFleetDegradesAndRecovers(t *testing.T) {
 	if !breakersAllClosed(stats) {
 		t.Fatalf("breakers not all closed at end: %v", stats.Router.Breakers)
 	}
-	if stats.Router.BreakerOpens == 0 {
+	if stats.Router.Values["breaker_opens"] == 0 {
 		t.Fatal("no breaker ever opened: the fault window was not felt")
 	}
-	if stats.Router.CorruptBodies == 0 {
+	if stats.Router.Values["corrupt_bodies"] == 0 {
 		t.Fatal("no corrupt body was caught: verification never fired under corruption faults")
 	}
 	kinds := make(map[string]bool)

@@ -131,19 +131,19 @@ func TestFleetServesPlanByteIdenticallyFromEveryShard(t *testing.T) {
 
 	// The two non-owners filled from a peer; their local tiers now hold
 	// the plan, so a second artifact read must not consult anyone.
-	var fills uint64
+	var fills float64
 	for i, svc := range services {
 		snap := svc.Stats()
-		if snap.Planned > 1 {
-			t.Fatalf("shard %d planned %d times", i, snap.Planned)
+		if snap.Values["planned"] > 1 {
+			t.Fatalf("shard %d planned %v times", i, snap.Values["planned"])
 		}
-		fills += snap.PeerFills
-		if urls[i] != owner && snap.PeerFills != 1 {
-			t.Fatalf("non-owner shard %d has %d peer fills, want 1", i, snap.PeerFills)
+		fills += snap.Values["peer_fills"]
+		if urls[i] != owner && snap.Values["peer_fills"] != 1 {
+			t.Fatalf("non-owner shard %d has %v peer fills, want 1", i, snap.Values["peer_fills"])
 		}
 	}
 	if fills != n-1 {
-		t.Fatalf("fleet peer fills = %d, want %d", fills, n-1)
+		t.Fatalf("fleet peer fills = %v, want %v", fills, n-1)
 	}
 
 	// Replaying the same question through the router is warm: the owner
@@ -172,8 +172,8 @@ func TestFleetServesPlanByteIdenticallyFromEveryShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Fleet.Planned != 1 || stats.Fleet.PeerFills != uint64(n-1) {
-		t.Fatalf("fleet stats = %d planned / %d peer fills, want 1 / %d",
-			stats.Fleet.Planned, stats.Fleet.PeerFills, n-1)
+	if stats.Fleet.Values["planned"] != 1 || stats.Fleet.Values["peer_fills"] != n-1 {
+		t.Fatalf("fleet stats = %v planned / %v peer fills, want 1 / %v",
+			stats.Fleet.Values["planned"], stats.Fleet.Values["peer_fills"], n-1)
 	}
 }

@@ -70,7 +70,7 @@ func TestRouterBudgetExpiryReturns504(t *testing.T) {
 			t.Fatalf("request %d: body %q missing deadline_exceeded code", i, body)
 		}
 	}
-	if got := r.deadlineRejections.Load(); got != 3 {
+	if got := r.deadlineRejections.Value(); got != 3 {
 		t.Errorf("deadline_rejections = %d, want 3", got)
 	}
 	// Three dead budgets crossed a threshold of two; a Record(false) per
@@ -114,7 +114,7 @@ func TestRouterBudgetHeaderValidation(t *testing.T) {
 	if got := backendCalls.Load(); got != 0 {
 		t.Errorf("backend saw %d calls for rejected budgets, want 0", got)
 	}
-	if got := r.deadlineRejections.Load(); got != 2 {
+	if got := r.deadlineRejections.Value(); got != 2 {
 		t.Errorf("deadline_rejections = %d, want 2 (spent budgets only)", got)
 	}
 }
@@ -199,10 +199,10 @@ func TestRouterVerifiesBodiesAndFailsOver(t *testing.T) {
 	if backend := resp.Header.Get(HeaderBackend); backend != cands[1] {
 		t.Errorf("answered by %s, want the second candidate %s", backend, cands[1])
 	}
-	if got := r.corruptBodies.Load(); got != 1 {
+	if got := r.corruptBodies.Value(); got != 1 {
 		t.Errorf("corrupt_bodies = %d, want 1", got)
 	}
-	if got := r.failovers.Load(); got != 1 {
+	if got := r.failovers.Value(); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
 }
@@ -236,7 +236,7 @@ func TestRouterVerificationRejectsWhenNoReplicaIsClean(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status = %d (%s), want 502 when no replica verifies", resp.StatusCode, body)
 	}
-	if got := r.corruptBodies.Load(); got != 2 {
+	if got := r.corruptBodies.Value(); got != 2 {
 		t.Errorf("corrupt_bodies = %d, want 2", got)
 	}
 }
@@ -293,10 +293,10 @@ func TestRouterHedgedArtifactRead(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("hedged read took %v; the hedge should beat the slow owner by seconds", elapsed)
 	}
-	if got := r.hedged.Load(); got != 1 {
+	if got := r.hedged.Value(); got != 1 {
 		t.Errorf("hedged = %d, want 1", got)
 	}
-	if got := r.hedgeWins.Load(); got != 1 {
+	if got := r.hedgeWins.Value(); got != 1 {
 		t.Errorf("hedge_wins = %d, want 1", got)
 	}
 }
@@ -352,7 +352,7 @@ func TestRouterBreakerTripAndRecovery(t *testing.T) {
 	if resp := post(); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open-breaker status = %d, want 503", resp.StatusCode)
 	}
-	if got := r.breakerRejections.Load(); got != 1 {
+	if got := r.breakerRejections.Value(); got != 1 {
 		t.Errorf("breaker_rejections = %d, want 1", got)
 	}
 
@@ -380,8 +380,8 @@ func TestRouterBreakerTripAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats.Router.BreakerOpens != 1 {
-		t.Errorf("stats breaker_opens = %d, want 1", stats.Router.BreakerOpens)
+	if stats.Router.Values["breaker_opens"] != 1 {
+		t.Errorf("stats breaker_opens = %v, want 1", stats.Router.Values["breaker_opens"])
 	}
 	if got := stats.Router.Breakers[backend.URL]; got != "closed" {
 		t.Errorf("stats breakers[%s] = %q, want closed", backend.URL, got)

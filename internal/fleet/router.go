@@ -25,10 +25,6 @@ import (
 // clients and smoke tests can see placement without consulting the ring.
 const HeaderBackend = "X-Graphpipe-Backend"
 
-// maxBodyBytes bounds routed request bodies. Planning requests are a few
-// hundred bytes of JSON; a larger body is a client error, not traffic.
-const maxBodyBytes = 1 << 20
-
 // maxRelayBytes bounds buffered backend response bodies. The router
 // buffers (instead of streaming) so it can verify artifact bytes before
 // a client sees them and retry a different replica on a torn transfer.
@@ -56,7 +52,7 @@ type RouterConfig struct {
 	// deterministic exponential backoff used when a 429 carries no
 	// Retry-After at all.
 	MaxRetryAfter time.Duration
-	// HealthInterval is the active health-check period (GET /v1/stats
+	// HealthInterval is the active health-check period (GET /metrics
 	// per backend; default 2s, negative disables the background loop —
 	// transport failures still mark backends down passively). Probe
 	// rounds are jittered into [0.75, 1.25)·HealthInterval (see
@@ -116,22 +112,15 @@ type Router struct {
 	inflight map[string]*atomic.Int64
 	total    atomic.Int64
 
-	routed             atomic.Uint64
-	failovers          atomic.Uint64
-	retried429         atomic.Uint64
-	badRequests        atomic.Uint64
-	noBackend          atomic.Uint64
-	breakerRejections  atomic.Uint64
-	deadlineRejections atomic.Uint64
-	corruptBodies      atomic.Uint64
-	hedged             atomic.Uint64
-	hedgeWins          atomic.Uint64
+	// Forwarding counters, registered on reg; /v1/stats reads them
+	// through routerView.
+	routed, failovers, retried429, badRequests, noBackend *obs.Counter
+	breakerRejections, deadlineRejections, corruptBodies  *obs.Counter
+	hedged, hedgeWins                                     *obs.Counter
 
 	reg      *obs.Registry
 	tracer   *obs.Tracer
 	traceLog *obs.TraceLog
-	latMu    sync.Mutex
-	latency  map[string]*obs.Histogram // route → request latency
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -195,29 +184,21 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	return r, nil
 }
 
-// registerMetrics exposes the router's forwarding counters — the same
-// atomics /v1/stats reports — plus per-backend breaker and load state
-// on GET /metrics. Counters are scrape-time reads of the atomics, so
-// the two surfaces cannot disagree.
+// registerMetrics registers the router's forwarding counters plus
+// per-backend breaker and load state on its registry, the store both
+// GET /metrics and /v1/stats read.
 func (r *Router) registerMetrics() {
-	counters := []struct {
-		name, help string
-		v          *atomic.Uint64
-	}{
-		{"graphpipe_router_routed_total", "Requests accepted for forwarding.", &r.routed},
-		{"graphpipe_router_failovers_total", "Attempts moved to the next ring replica.", &r.failovers},
-		{"graphpipe_router_retried_429_total", "Shed responses retried on the same backend.", &r.retried429},
-		{"graphpipe_router_bad_requests_total", "Requests rejected at the router.", &r.badRequests},
-		{"graphpipe_router_no_backend_total", "Requests for which every replica failed.", &r.noBackend},
-		{"graphpipe_router_breaker_rejections_total", "Attempts refused by an open circuit breaker.", &r.breakerRejections},
-		{"graphpipe_router_deadline_rejections_total", "Requests cut off by their time budget at the router.", &r.deadlineRejections},
-		{"graphpipe_router_corrupt_bodies_total", "Backend bodies refused after verification or a torn read.", &r.corruptBodies},
-		{"graphpipe_router_hedged_total", "Artifact reads that launched a hedge request.", &r.hedged},
-		{"graphpipe_router_hedge_wins_total", "Hedge requests that answered first.", &r.hedgeWins},
-	}
-	for _, c := range counters {
-		r.reg.CounterFunc(c.name, c.help, nil, c.v.Load)
-	}
+	c := func(name, help string) *obs.Counter { return r.reg.Counter(name, help, nil) }
+	r.routed = c("graphpipe_router_routed_total", "Requests accepted for forwarding.")
+	r.failovers = c("graphpipe_router_failovers_total", "Attempts moved to the next ring replica.")
+	r.retried429 = c("graphpipe_router_retried_429_total", "Shed responses retried on the same backend.")
+	r.badRequests = c("graphpipe_router_bad_requests_total", "Requests rejected at the router.")
+	r.noBackend = c("graphpipe_router_no_backend_total", "Requests for which every replica failed.")
+	r.breakerRejections = c("graphpipe_router_breaker_rejections_total", "Attempts refused by an open circuit breaker.")
+	r.deadlineRejections = c("graphpipe_router_deadline_rejections_total", "Requests cut off by their time budget at the router.")
+	r.corruptBodies = c("graphpipe_router_corrupt_bodies_total", "Backend bodies refused after verification or a torn read.")
+	r.hedged = c("graphpipe_router_hedged_total", "Artifact reads that launched a hedge request.")
+	r.hedgeWins = c("graphpipe_router_hedge_wins_total", "Hedge requests that answered first.")
 	r.reg.GaugeFunc("graphpipe_router_in_flight", "Proxied requests currently in flight.", nil,
 		func() float64 { return float64(r.total.Load()) })
 	r.reg.CounterSetFunc("graphpipe_router_breaker_opens_total", "Breaker trips by backend.", "backend",
@@ -229,17 +210,7 @@ func (r *Router) registerMetrics() {
 			return out
 		})
 	r.reg.GaugeFunc("graphpipe_router_unhealthy", "Backends currently marked down.", nil,
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			n := 0
-			for _, down := range r.down {
-				if down {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(len(r.unhealthy())) })
 	if r.cfg.Faults != nil {
 		r.reg.CounterSetFunc("graphpipe_faults_injected_total", "Injected faults by site/kind.", "site",
 			r.cfg.Faults.Tallies)
@@ -249,18 +220,8 @@ func (r *Router) registerMetrics() {
 // observeRequest records one routed request's latency by route on the
 // shared graphpipe_request_seconds family.
 func (r *Router) observeRequest(route string, seconds float64) {
-	r.latMu.Lock()
-	if r.latency == nil {
-		r.latency = make(map[string]*obs.Histogram)
-	}
-	h, ok := r.latency[route]
-	if !ok {
-		h = r.reg.Histogram("graphpipe_request_seconds",
-			"HTTP request latency by route.", obs.Labels{"route": route}, nil)
-		r.latency[route] = h
-	}
-	r.latMu.Unlock()
-	h.Observe(seconds)
+	r.reg.Histogram("graphpipe_request_seconds",
+		"HTTP request latency by route.", obs.Labels{"route": route}, nil).Observe(seconds)
 }
 
 // Close stops the health-check loop. In-flight proxied requests finish
@@ -817,13 +778,26 @@ func (r *Router) loadCapacity() int64 {
 	return cap
 }
 
+// unhealthy lists the backends currently marked down, in config order.
+func (r *Router) unhealthy() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for _, b := range r.cfg.Backends {
+		if r.down[b] {
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 func (r *Router) markDown(backend string) {
 	r.mu.Lock()
 	r.down[backend] = true
 	r.mu.Unlock()
 }
 
-// healthLoop actively probes every backend's /v1/stats, reviving
+// healthLoop actively probes every backend's /metrics, reviving
 // backends that passive failures marked down and catching dead ones
 // before traffic does. Probe rounds are spaced by jittered delays in
 // [0.75, 1.25)·HealthInterval drawn from the router's seeded stream
@@ -841,28 +815,14 @@ func (r *Router) healthLoop() {
 			return
 		case <-timer.C:
 			for _, b := range r.cfg.Backends {
-				healthy := r.probe(b)
+				_, err := r.scrape(context.Background(), b)
 				r.mu.Lock()
-				r.down[b] = !healthy
+				r.down[b] = err != nil
 				r.mu.Unlock()
 			}
 			timer.Reset(nextProbeDelay(&jitter, r.cfg.HealthInterval))
 		}
 	}
-}
-
-func (r *Router) probe(backend string) bool {
-	req, err := http.NewRequest(http.MethodGet, backend+"/v1/stats", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
 }
 
 // shedDelay is how long to wait before retrying a 429 on the same
@@ -880,9 +840,13 @@ func (r *Router) shedDelay(resp *http.Response, key string, attempt int) time.Du
 	return backoffDelay(250*time.Millisecond, r.cfg.MaxRetryAfter, key, attempt)
 }
 
-// readBody slurps a bounded request body.
+// readBody slurps a request body of at most service.MaxBodyBytes; a
+// longer one is refused, not truncated into a different request.
 func readBody(w http.ResponseWriter, req *http.Request, r *Router) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(req.Body, service.MaxBodyBytes+1))
+	if err == nil && len(body) > service.MaxBodyBytes {
+		err = fmt.Errorf("exceeds %d bytes", service.MaxBodyBytes)
+	}
 	if err != nil {
 		r.badRequests.Add(1)
 		writeRouterError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("body: %w", err))

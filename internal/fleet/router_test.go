@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"graphpipe/internal/obs"
 	"graphpipe/internal/service"
 )
 
@@ -71,7 +73,7 @@ func TestRouterHonorsRetryAfterOnSameBackend(t *testing.T) {
 	if len(*slept) != 1 || (*slept)[0] != 2*time.Second {
 		t.Fatalf("backoffs = %v, want exactly [2s] (Retry-After 7s capped at 2s)", *slept)
 	}
-	if got := r.retried429.Load(); got != 1 {
+	if got := r.retried429.Value(); got != 1 {
 		t.Fatalf("retried_429 = %d, want 1", got)
 	}
 }
@@ -146,7 +148,7 @@ func TestRouterFailsOverOnConnectionFailure(t *testing.T) {
 	if got := resp.Header.Get(HeaderBackend); got != live.URL {
 		t.Fatalf("%s = %q, want the live backend %q", HeaderBackend, got, live.URL)
 	}
-	if got := r.failovers.Load(); got != 1 {
+	if got := r.failovers.Value(); got != 1 {
 		t.Fatalf("failovers = %d, want 1", got)
 	}
 	r.mu.Lock()
@@ -190,6 +192,46 @@ func TestRouterRelaysHeadersAndStampsBackend(t *testing.T) {
 	}
 }
 
+// TestRouterRejectsOversizedBodies pins that a body over
+// service.MaxBodyBytes is refused whole, not truncated to the limit and
+// forwarded: here the first MaxBodyBytes are a valid planning request,
+// so truncation would have planned something the client never sent.
+func TestRouterRejectsOversizedBodies(t *testing.T) {
+	var backendCalls atomic.Int64
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		backendCalls.Add(1)
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	defer backend.Close()
+
+	r, srv, _ := newTestRouter(t, RouterConfig{Backends: []string{backend.URL}})
+	body := planBody + strings.Repeat(" ", service.MaxBodyBytes)
+	resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "exceeds") {
+		t.Errorf("oversized body: status %d %s, want a 400 naming the limit", resp.StatusCode, data)
+	}
+	if got := backendCalls.Load(); got != 0 {
+		t.Errorf("backend saw %d calls for an oversized body, want 0", got)
+	}
+	if got := r.badRequests.Value(); got != 1 {
+		t.Errorf("bad_requests = %d, want 1", got)
+	}
+	// At the limit exactly, the same request still routes.
+	resp, err = http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body[:service.MaxBodyBytes]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || backendCalls.Load() != 1 {
+		t.Errorf("body of exactly MaxBodyBytes: status %d, %d backend calls; want 200, 1", resp.StatusCode, backendCalls.Load())
+	}
+}
+
 // TestRouterRejectsMalformedRequests pins that garbage dies at the
 // router with the daemons' 400 shape, before consuming backend queue
 // slots.
@@ -218,26 +260,58 @@ func TestRouterRejectsMalformedRequests(t *testing.T) {
 	if got := backendCalls.Load(); got != 0 {
 		t.Errorf("backend saw %d calls for malformed requests, want 0", got)
 	}
-	if got := r.badRequests.Load(); got != 3 {
+	if got := r.badRequests.Value(); got != 3 {
 		t.Errorf("bad_requests = %d, want 3", got)
 	}
 }
 
-// TestRouterAggregatesStats pins /v1/stats: per-backend snapshots plus
-// their field-wise sum under "fleet", with the router's own counters.
+// TestRouterAggregatesStats pins /v1/stats: each backend's /metrics
+// rendered as its stats, their series-by-series sum under "fleet" —
+// scalars add, faults add per site, and histogram buckets add bucket by
+// bucket into exactly the histogram of all observations.
 func TestRouterAggregatesStats(t *testing.T) {
-	mkBackend := func(snap service.Snapshot) *httptest.Server {
+	type shard struct {
+		counters  map[string]uint64 // series identity -> value
+		latencies map[string][]float64
+		faults    map[string]uint64
+	}
+	mkBackend := func(sh shard) *httptest.Server {
+		reg := obs.NewRegistry()
+		for id, n := range sh.counters {
+			name, tier, _ := strings.Cut(strings.TrimSuffix(id, `"}`), `{tier="`)
+			labels := obs.Labels(nil)
+			if tier != "" {
+				labels = obs.Labels{"tier": tier}
+			}
+			reg.Counter(name, "test", labels).Add(n)
+		}
+		for planner, obsv := range sh.latencies {
+			h := reg.Histogram("graphpipe_planner_search_seconds", "test", obs.Labels{"planner": planner}, nil)
+			for _, v := range obsv {
+				h.Observe(v)
+			}
+		}
+		reg.CounterSetFunc("graphpipe_faults_injected_total", "test", "site",
+			func() map[string]uint64 { return sh.faults })
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/v1/stats" {
+			if r.URL.Path != "/metrics" {
 				http.NotFound(w, r)
 				return
 			}
-			json.NewEncoder(w).Encode(snap)
+			reg.WriteText(w)
 		}))
 	}
-	b1 := mkBackend(service.Snapshot{HitsMemory: 3, Planned: 1, PeerFills: 2})
+	b1 := mkBackend(shard{
+		counters:  map[string]uint64{`graphpipe_cache_hits_total{tier="memory"}`: 3, "graphpipe_planned_total": 1, "graphpipe_peer_fills_total": 2},
+		latencies: map[string][]float64{"graphpipe": {0.002, 0.3}},
+		faults:    map[string]uint64{"peers/http.drop": 2, "artifacts/disk.write-fail": 1},
+	})
 	defer b1.Close()
-	b2 := mkBackend(service.Snapshot{HitsMemory: 4, Planned: 2, Rejected: 5})
+	b2 := mkBackend(shard{
+		counters:  map[string]uint64{`graphpipe_cache_hits_total{tier="memory"}`: 4, "graphpipe_planned_total": 2, "graphpipe_rejected_total": 5},
+		latencies: map[string][]float64{"graphpipe": {0.002, 7, 400}, "pipedream": {0.04}},
+		faults:    map[string]uint64{"peers/http.drop": 3},
+	})
 	defer b2.Close()
 
 	_, srv, _ := newTestRouter(t, RouterConfig{Backends: []string{b1.URL, b2.URL}})
@@ -250,14 +324,35 @@ func TestRouterAggregatesStats(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Fleet.HitsMemory != 7 || stats.Fleet.Planned != 3 ||
-		stats.Fleet.PeerFills != 2 || stats.Fleet.Rejected != 5 {
-		t.Errorf("fleet sum = %+v, want hits 7 / planned 3 / peer fills 2 / rejected 5", stats.Fleet)
+	fleet := stats.Fleet.Values
+	if fleet["hits_memory"] != 7 || fleet["planned"] != 3 || fleet["peer_fills"] != 2 ||
+		fleet["rejected"] != 5 || fleet["misses"] != 0 {
+		t.Errorf("fleet sum = %v, want hits 7 / planned 3 / peer fills 2 / rejected 5 / misses 0", fleet)
 	}
 	if len(stats.Backends) != 2 || stats.Backends[b1.URL] == nil || stats.Backends[b2.URL] == nil {
-		t.Errorf("backends map = %v, want both members present", stats.Backends)
+		t.Fatalf("backends map = %v, want both members present", stats.Backends)
 	}
-	if stats.Backends[b1.URL].HitsMemory != 3 {
-		t.Errorf("backend %s hits = %d, want 3", b1.URL, stats.Backends[b1.URL].HitsMemory)
+	if got := stats.Backends[b1.URL].Values["hits_memory"]; got != 3 {
+		t.Errorf("backend %s hits = %v, want 3", b1.URL, got)
+	}
+
+	wantFaults := map[string]uint64{"peers/http.drop": 5, "artifacts/disk.write-fail": 1}
+	if fmt.Sprint(stats.Fleet.FaultsInjected) != fmt.Sprint(wantFaults) {
+		t.Errorf("fleet faults = %v, want %v", stats.Fleet.FaultsInjected, wantFaults)
+	}
+
+	for planner, all := range map[string][]float64{"graphpipe": {0.002, 0.3, 0.002, 7, 400}, "pipedream": {0.04}} {
+		ref := obs.NewHistogram(nil)
+		for _, v := range all {
+			ref.Observe(v)
+		}
+		want, got := ref.Snapshot(), stats.Fleet.PlannerLatency[planner]
+		if got.Count != want.Count || math.Abs(got.SumSeconds-want.SumSeconds) > 1e-9 ||
+			fmt.Sprint(got.Buckets) != fmt.Sprint(want.Buckets) {
+			t.Errorf("fleet %s latency = %+v, want the histogram of all observations %+v", planner, got, want)
+		}
+	}
+	if b1h := stats.Backends[b1.URL].PlannerLatency; len(b1h) != 1 || b1h["graphpipe"].Count != 2 {
+		t.Errorf("backend %s latency = %+v, want its own 2 graphpipe observations", b1.URL, b1h)
 	}
 }

@@ -1,58 +1,51 @@
 package fleet
 
 import (
-	"io"
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
-	"encoding/json"
-
+	"graphpipe/internal/obs"
 	"graphpipe/internal/service"
 )
 
-// FleetStats is the router's /v1/stats body: every backend's own
-// snapshot, their field-wise sum, and the router's forwarding counters.
-// The summed view is what a dashboard watches — fleet-wide hit ratio,
-// total sheds, total peer fills — while the per-backend map shows skew.
+// FleetStats is the router's /v1/stats body. Each backend's /metrics
+// scrape renders as its stats, and all scrapes together render as the
+// fleet's — the series-by-series sum (see obs.Sum), the view a dashboard
+// watches, while the per-backend map shows skew.
 type FleetStats struct {
-	Fleet    service.Snapshot             `json:"fleet"`
-	Backends map[string]*service.Snapshot `json:"backends"`
-	Router   RouterStats                  `json:"router"`
+	Fleet service.Stats `json:"fleet"`
+	// Backends maps each backend to its stats; null when its /metrics
+	// could not be read just now.
+	Backends map[string]*service.Stats `json:"backends"`
+	Router   RouterStats               `json:"router"`
 }
 
-// RouterStats are the router's own counters, distinct from anything the
+// routerView is the counter half of the router block. Adding a router
+// counter takes two edits: register it in registerMetrics and give it a
+// key here.
+var routerView = obs.View{
+	{Key: "routed", Series: "graphpipe_router_routed_total"},
+	{Key: "failovers", Series: "graphpipe_router_failovers_total"},
+	{Key: "retried_429", Series: "graphpipe_router_retried_429_total"},
+	{Key: "bad_requests", Series: "graphpipe_router_bad_requests_total"},
+	{Key: "no_backend", Series: "graphpipe_router_no_backend_total"},
+	{Key: "breaker_rejections", Series: "graphpipe_router_breaker_rejections_total"},
+	{Key: "breaker_opens", Series: "graphpipe_router_breaker_opens_total"},
+	{Key: "deadline_rejections", Series: "graphpipe_router_deadline_rejections_total"},
+	{Key: "corrupt_bodies", Series: "graphpipe_router_corrupt_bodies_total"},
+	{Key: "hedged", Series: "graphpipe_router_hedged_total"},
+	{Key: "hedge_wins", Series: "graphpipe_router_hedge_wins_total"},
+}
+
+// RouterStats is the router's own block, distinct from anything the
 // shards report.
 type RouterStats struct {
-	// Routed counts requests accepted for forwarding (including ones
-	// that ultimately failed every replica).
-	Routed uint64 `json:"routed"`
-	// Failovers counts backend connection failures that moved a request
-	// to the next ring replica.
-	Failovers uint64 `json:"failovers"`
-	// Retried429 counts shed responses retried on the same backend
-	// after honoring its Retry-After.
-	Retried429 uint64 `json:"retried_429"`
-	// BadRequests counts requests rejected at the router (malformed
-	// JSON, uncanonicalizable planning questions).
-	BadRequests uint64 `json:"bad_requests"`
-	// NoBackend counts requests for which every replica failed (502s).
-	NoBackend uint64 `json:"no_backend"`
-	// BreakerRejections counts attempts refused by an open per-backend
-	// circuit breaker (the request moved on to the next replica).
-	BreakerRejections uint64 `json:"breaker_rejections"`
-	// BreakerOpens totals breaker trips across all backends since start.
-	BreakerOpens uint64 `json:"breaker_opens"`
-	// DeadlineRejections counts requests cut off by their time budget at
-	// the router (504s it wrote itself, not ones relayed from shards).
-	DeadlineRejections uint64 `json:"deadline_rejections"`
-	// CorruptBodies counts 200 responses the router refused to relay
-	// because the body tore mid-read or failed fingerprint verification;
-	// each one failed over to another replica.
-	CorruptBodies uint64 `json:"corrupt_bodies"`
-	// Hedged counts artifact reads that launched a hedge request;
-	// HedgeWins counts the hedges that answered first.
-	Hedged    uint64 `json:"hedged"`
-	HedgeWins uint64 `json:"hedge_wins"`
+	// Values holds every routerView key.
+	Values map[string]float64 `json:"-"`
 	// Breakers maps each backend to its breaker state ("closed",
 	// "open", "half-open") at snapshot time.
 	Breakers map[string]string `json:"breakers,omitempty"`
@@ -63,158 +56,81 @@ type RouterStats struct {
 	InFlight map[string]int64 `json:"in_flight"`
 	// FaultsInjected tallies the router's own injected faults by
 	// "site/kind" (empty without a fault spec); shard-side tallies
-	// appear in each backend's snapshot instead.
+	// appear in each backend's stats instead.
 	FaultsInjected map[string]uint64 `json:"faults_injected,omitempty"`
 }
 
+// routerFields is RouterStats without its JSON methods.
+type routerFields RouterStats
+
+// MarshalJSON writes the routerView keys in table order, then the
+// router's state.
+func (s RouterStats) MarshalJSON() ([]byte, error) {
+	return routerView.Marshal(s.Values, routerFields(s))
+}
+
+// UnmarshalJSON reads a body MarshalJSON wrote.
+func (s *RouterStats) UnmarshalJSON(data []byte) error {
+	return routerView.Unmarshal(data, &s.Values, (*routerFields)(s))
+}
+
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
+	own := r.reg.Samples()
 	out := FleetStats{
-		Backends: make(map[string]*service.Snapshot, len(r.cfg.Backends)),
-		Router:   r.routerStats(),
+		Backends: make(map[string]*service.Stats, len(r.cfg.Backends)),
+		Router: RouterStats{
+			Values:         routerView.Read(own),
+			Breakers:       make(map[string]string, len(r.breakers)),
+			Unhealthy:      r.unhealthy(),
+			InFlight:       make(map[string]int64, len(r.inflight)),
+			FaultsInjected: obs.Tallies(own, "graphpipe_faults_injected_total", "site"),
+		},
 	}
-	var (
-		mu sync.Mutex
-		wg sync.WaitGroup
-	)
 	for _, b := range r.cfg.Backends {
+		out.Router.Breakers[b] = r.breakers[b].State().String()
+		out.Router.InFlight[b] = r.inflight[b].Load()
+	}
+
+	scraped := make([][]obs.Sample, len(r.cfg.Backends))
+	errs := make([]error, len(r.cfg.Backends))
+	var wg sync.WaitGroup
+	for i, b := range r.cfg.Backends {
 		wg.Add(1)
-		go func(b string) {
+		go func() {
 			defer wg.Done()
-			snap := r.fetchSnapshot(req, b)
-			mu.Lock()
-			out.Backends[b] = snap // nil: unreachable right now
-			if snap != nil {
-				addSnapshot(&out.Fleet, snap)
-			}
-			mu.Unlock()
-		}(b)
+			scraped[i], errs[i] = r.scrape(req.Context(), b)
+		}()
 	}
 	wg.Wait()
+	for i, b := range r.cfg.Backends {
+		out.Backends[b] = nil // unreachable right now
+		if errs[i] == nil {
+			st := service.RenderStats(scraped[i])
+			out.Backends[b] = &st
+		}
+	}
+	out.Fleet = service.RenderStats(slices.Concat(scraped...))
+
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(out)
 }
 
-func (r *Router) routerStats() RouterStats {
-	rs := RouterStats{
-		Routed:             r.routed.Load(),
-		Failovers:          r.failovers.Load(),
-		Retried429:         r.retried429.Load(),
-		BadRequests:        r.badRequests.Load(),
-		NoBackend:          r.noBackend.Load(),
-		BreakerRejections:  r.breakerRejections.Load(),
-		DeadlineRejections: r.deadlineRejections.Load(),
-		CorruptBodies:      r.corruptBodies.Load(),
-		Hedged:             r.hedged.Load(),
-		HedgeWins:          r.hedgeWins.Load(),
-		Breakers:           make(map[string]string, len(r.breakers)),
-		InFlight:           make(map[string]int64, len(r.inflight)),
-		FaultsInjected:     r.cfg.Faults.Tallies(),
-	}
-	for b, c := range r.inflight {
-		rs.InFlight[b] = c.Load()
-	}
-	for b, br := range r.breakers {
-		rs.Breakers[b] = br.State().String()
-		rs.BreakerOpens += br.Opens()
-	}
-	r.mu.Lock()
-	for _, b := range r.cfg.Backends {
-		if r.down[b] {
-			rs.Unhealthy = append(rs.Unhealthy, b)
-		}
-	}
-	r.mu.Unlock()
-	return rs
-}
-
-func (r *Router) fetchSnapshot(orig *http.Request, backend string) *service.Snapshot {
-	req, err := http.NewRequestWithContext(orig.Context(), http.MethodGet, backend+"/v1/stats", nil)
+// scrape reads one backend's /metrics — the stats fetch and the health
+// probe alike.
+func (r *Router) scrape(ctx context.Context, backend string) ([]obs.Sample, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+"/metrics", nil)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+		return nil, fmt.Errorf("%s/metrics: status %d", backend, resp.StatusCode)
 	}
-	var snap service.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		return nil
-	}
-	return &snap
-}
-
-// addSnapshot accumulates one shard's snapshot into the fleet sum.
-// Counters and gauges add; latency histograms merge bucket-wise.
-func addSnapshot(dst *service.Snapshot, src *service.Snapshot) {
-	dst.HitsMemory += src.HitsMemory
-	dst.HitsDisk += src.HitsDisk
-	dst.Misses += src.Misses
-	dst.Planned += src.Planned
-	dst.SharedWaits += src.SharedWaits
-	dst.Rejected += src.Rejected
-	dst.Evals += src.Evals
-	dst.DiskFailures += src.DiskFailures
-	dst.MemoWarmHits += src.MemoWarmHits
-	dst.MemoEntriesReused += src.MemoEntriesReused
-	dst.PeerFills += src.PeerFills
-	dst.PeerMisses += src.PeerMisses
-	dst.PeerErrors += src.PeerErrors
-	dst.PeerTimeouts += src.PeerTimeouts
-	dst.DeadlineRejections += src.DeadlineRejections
-	for k, n := range src.FaultsInjected {
-		if dst.FaultsInjected == nil {
-			dst.FaultsInjected = make(map[string]uint64)
-		}
-		dst.FaultsInjected[k] += n
-	}
-	dst.MemoOffersSent += src.MemoOffersSent
-	dst.MemoOffersReceived += src.MemoOffersReceived
-	dst.InFlight += src.InFlight
-	dst.Queued += src.Queued
-	dst.MemoryEntries += src.MemoryEntries
-	dst.MemoryEvictions += src.MemoryEvictions
-	dst.MemoSnapshots += src.MemoSnapshots
-	dst.MemoInstalls += src.MemoInstalls
-	dst.MemoEvictions += src.MemoEvictions
-	for name, h := range src.PlannerLatency {
-		if dst.PlannerLatency == nil {
-			dst.PlannerLatency = make(map[string]service.HistogramSnapshot)
-		}
-		dst.PlannerLatency[name] = mergeHistogram(dst.PlannerLatency[name], h)
-	}
-}
-
-// mergeHistogram sums two latency histograms. Buckets merge pointwise
-// when the bound ladders match (they do across one build's fleet); on a
-// mismatch — mixed-version fleets — the counts and sums still add and
-// the buckets of the richer side win, which keeps the fleet view usable
-// during a rolling upgrade.
-func mergeHistogram(a, b service.HistogramSnapshot) service.HistogramSnapshot {
-	out := service.HistogramSnapshot{
-		Count:      a.Count + b.Count,
-		SumSeconds: a.SumSeconds + b.SumSeconds,
-	}
-	if len(a.Buckets) == len(b.Buckets) {
-		out.Buckets = make([]service.HistogramBucket, len(a.Buckets))
-		for i := range a.Buckets {
-			out.Buckets[i] = service.HistogramBucket{
-				LE:    a.Buckets[i].LE,
-				Count: a.Buckets[i].Count + b.Buckets[i].Count,
-			}
-		}
-		return out
-	}
-	if len(a.Buckets) > len(b.Buckets) {
-		out.Buckets = a.Buckets
-	} else {
-		out.Buckets = b.Buckets
-	}
-	return out
+	return obs.ParseSamples(resp.Body)
 }

@@ -59,8 +59,8 @@ func TestRunAgainstDaemon(t *testing.T) {
 	}
 
 	snap := svc.Stats()
-	if snap.Planned != res.Planned {
-		t.Fatalf("stats delta planned = %d, daemon says %d", res.Planned, snap.Planned)
+	if snap.Values["planned"] != float64(res.Planned) {
+		t.Fatalf("stats delta planned = %d, daemon says %v", res.Planned, snap.Values["planned"])
 	}
 
 	line := res.BenchLine()

@@ -249,7 +249,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	seq := sampleSequence(cfg, len(bodies))
 
-	before, err := fetchFleetSnapshot(cfg.Client, cfg.Target)
+	before, err := fetchFleetStats(cfg.Client, cfg.Target)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: target stats before run: %w", err)
 	}
@@ -283,7 +283,7 @@ func Run(cfg Config) (*Result, error) {
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 
-	after, err := fetchFleetSnapshot(cfg.Client, cfg.Target)
+	after, err := fetchFleetStats(cfg.Client, cfg.Target)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: target stats after run: %w", err)
 	}
@@ -381,14 +381,15 @@ func replayOne(cfg Config, body, traceID string) outcome {
 	return o
 }
 
-func reduce(cfg Config, outcomes []outcome, wall float64, before, after *service.Snapshot) *Result {
+func reduce(cfg Config, outcomes []outcome, wall float64, before, after *service.Stats) *Result {
+	delta := func(key string) uint64 { return uint64(after.Values[key] - before.Values[key]) }
 	res := &Result{
 		Requests:    cfg.Requests,
 		Sources:     make(map[string]int),
 		TierLatency: make(map[string]Percentiles),
 		WallSeconds: wall,
-		PeerFills:   after.PeerFills - before.PeerFills,
-		Planned:     after.Planned - before.Planned,
+		PeerFills:   delta("peer_fills"),
+		Planned:     delta("planned"),
 	}
 	var all, cold, warm []float64
 	tiers := make(map[string][]float64)
@@ -555,10 +556,10 @@ func tracePhases(traces []*obs.TraceExport) phaseTimes {
 	return p
 }
 
-// fetchFleetSnapshot reads /v1/stats from either a router (whose body
-// nests the fleet-summed snapshot under "fleet") or a bare daemon
-// (whose body is the snapshot itself).
-func fetchFleetSnapshot(client *http.Client, target string) (*service.Snapshot, error) {
+// fetchFleetStats reads /v1/stats from either a router (whose body
+// nests the fleet-summed stats under "fleet") or a bare daemon (whose
+// body is the stats themselves).
+func fetchFleetStats(client *http.Client, target string) (*service.Stats, error) {
 	resp, err := client.Get(target + "/v1/stats")
 	if err != nil {
 		return nil, err
@@ -572,14 +573,11 @@ func fetchFleetSnapshot(client *http.Client, target string) (*service.Snapshot, 
 		return nil, fmt.Errorf("stats: status %d", resp.StatusCode)
 	}
 	var probe struct {
-		Fleet *service.Snapshot `json:"fleet"`
-		service.Snapshot
+		Fleet *service.Stats `json:"fleet"`
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("stats: %v", err)
+	if err := json.Unmarshal(data, &probe); err != nil || probe.Fleet != nil {
+		return probe.Fleet, err
 	}
-	if probe.Fleet != nil {
-		return probe.Fleet, nil
-	}
-	return &probe.Snapshot, nil
+	st := new(service.Stats)
+	return st, json.Unmarshal(data, st)
 }

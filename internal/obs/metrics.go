@@ -129,14 +129,14 @@ type seriesKind int
 const (
 	kindCounter seriesKind = iota
 	kindHistogram
-	kindFunc    // gauge or counter computed at scrape time
-	kindSetFunc // a whole labeled set computed at scrape time
+	kindFunc // gauge or counter computed at scrape time
 )
 
 // family is one metric name: a help string, a type, and its series.
 type family struct {
 	name, help, typ string
 	series          []*series
+	byLabels        map[string]*series // rendered label set → series
 	// setLabel/setFn render a dynamic labeled set (e.g. fault tallies
 	// keyed by site) at scrape time.
 	setLabel string
@@ -160,65 +160,58 @@ func NewRegistry() *Registry {
 func (r *Registry) familyFor(name, help, typ string) *family {
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ}
+		f = &family{name: name, help: help, typ: typ, byLabels: make(map[string]*series)}
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}
 	return f
 }
 
-// Counter registers (or finds) the counter series name{labels}.
-// Registering the same name+labels twice returns the same counter, so
-// independent subsystems can share a series safely.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+// seriesFor finds the series name{labels}, registering mk() there on
+// first use, so independent subsystems can share a series safely and a
+// labelled series can be looked up per observation.
+func (r *Registry) seriesFor(name, help, typ string, labels Labels, mk func() *series) *series {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyFor(name, help, "counter")
+	f := r.familyFor(name, help, typ)
 	key := renderLabels(labels)
-	for _, s := range f.series {
-		if renderLabels(s.labels) == key {
-			return s.c
-		}
+	s, ok := f.byLabels[key]
+	if !ok {
+		s = mk()
+		s.labels = labels
+		f.series = append(f.series, s)
+		f.byLabels[key] = s
 	}
-	s := &series{labels: labels, kind: kindCounter, c: &Counter{}}
-	f.series = append(f.series, s)
-	return s.c
+	return s
+}
+
+// Counter registers (or finds) the counter series name{labels}.
+func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+	return r.seriesFor(name, help, "counter", labels, func() *series {
+		return &series{kind: kindCounter, c: &Counter{}}
+	}).c
 }
 
 // Histogram registers (or finds) the histogram series name{labels} over
 // the given bounds (nil: DefaultLatencyBounds).
 func (r *Registry) Histogram(name, help string, labels Labels, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, "histogram")
-	key := renderLabels(labels)
-	for _, s := range f.series {
-		if renderLabels(s.labels) == key {
-			return s.h
-		}
-	}
-	s := &series{labels: labels, kind: kindHistogram, h: NewHistogram(bounds)}
-	f.series = append(f.series, s)
-	return s.h
+	return r.seriesFor(name, help, "histogram", labels, func() *series {
+		return &series{kind: kindHistogram, h: NewHistogram(bounds)}
+	}).h
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	r.addFunc(name, help, "gauge", labels, fn)
+	r.seriesFor(name, help, "gauge", labels, func() *series { return &series{kind: kindFunc, fn: fn} })
 }
 
 // CounterFunc registers a counter whose value lives elsewhere (an
 // existing atomic) and is read at scrape time. The source must be
 // monotone for the counter type to be honest.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() uint64) {
-	r.addFunc(name, help, "counter", labels, func() float64 { return float64(fn()) })
-}
-
-func (r *Registry) addFunc(name, help, typ string, labels Labels, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, typ)
-	f.series = append(f.series, &series{labels: labels, kind: kindFunc, fn: fn})
+	r.seriesFor(name, help, "counter", labels, func() *series {
+		return &series{kind: kindFunc, fn: func() float64 { return float64(fn()) }}
+	})
 }
 
 // CounterSetFunc registers a counter family whose series are dynamic: at
@@ -232,54 +225,47 @@ func (r *Registry) CounterSetFunc(name, help, labelKey string, fn func() map[str
 	f.setLabel, f.setFn = labelKey, fn
 }
 
+// A Sample is one series value as the exposition format writes it. A
+// histogram contributes one sample per cumulative bucket (name_bucket,
+// labelled le, "+Inf" last) plus name_sum and name_count.
+type Sample struct {
+	Name   string
+	Labels Labels
+	Value  float64
+}
+
+// ID is the sample's series identity, name{labels} with the labels
+// sorted: the text before the value on its exposition line.
+func (s Sample) ID() string { return s.Name + renderLabels(s.Labels) }
+
+// Samples reads every registered series in exposition order: families
+// in registration order, then each family's series sorted by identity
+// (a histogram's samples keep bucket order).
+func (r *Registry) Samples() []Sample {
+	var out []Sample
+	for _, f := range r.snapshot() {
+		out = append(out, f.samples()...)
+	}
+	return out
+}
+
 // WriteText renders every registered family in the Prometheus text
 // exposition format (version 0.0.4): # HELP and # TYPE headers, one line
-// per series, histograms as cumulative _bucket/_sum/_count lines.
-// Families render in registration order; series within a family render
-// in sorted-label order, so the output is stable enough to golden-test.
+// per sample as Samples orders them, histograms as cumulative
+// _bucket/_sum/_count lines. The output is stable enough to golden-test.
 func (r *Registry) WriteText(w io.Writer) error {
-	r.mu.Lock()
-	order := append([]string(nil), r.order...)
-	fams := make(map[string]*family, len(r.families))
-	for k, v := range r.families {
-		fams[k] = v
-	}
-	r.mu.Unlock()
-
 	var b strings.Builder
-	for _, name := range order {
-		f := fams[name]
+	for _, f := range r.snapshot() {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		lines := make([]string, 0, len(f.series))
-		for _, s := range f.series {
-			switch s.kind {
-			case kindCounter:
-				lines = append(lines, seriesLine(f.name, s.labels, float64(s.c.Value())))
-			case kindFunc:
-				lines = append(lines, seriesLine(f.name, s.labels, s.fn()))
-			case kindHistogram:
-				lines = append(lines, histogramLines(f.name, s.labels, s.h.Snapshot())...)
+		for _, s := range f.samples() {
+			b.WriteString(s.ID())
+			b.WriteByte(' ')
+			if f.typ == "histogram" && !strings.HasSuffix(s.Name, "_sum") {
+				b.WriteString(strconv.FormatUint(uint64(s.Value), 10)) // bucket and total counts
+			} else {
+				b.WriteString(formatValue(s.Value))
 			}
-		}
-		if f.setFn != nil {
-			set := f.setFn()
-			keys := make([]string, 0, len(set))
-			for k := range set {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				lines = append(lines, seriesLine(f.name, Labels{f.setLabel: k}, float64(set[k])))
-			}
-		}
-		// Histogram series already order their own lines; sorting plain
-		// series keeps label permutations stable.
-		if f.typ != "histogram" {
-			sort.Strings(lines)
-		}
-		for _, l := range lines {
-			b.WriteString(l)
 			b.WriteByte('\n')
 		}
 	}
@@ -287,23 +273,55 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return err
 }
 
-func seriesLine(name string, labels Labels, v float64) string {
-	return name + renderLabels(labels) + " " + formatValue(v)
+// snapshot copies the families in registration order, so a scrape
+// reads values without holding the registry lock.
+func (r *Registry) snapshot() []family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]family, len(r.order))
+	for i, name := range r.order {
+		out[i] = *r.families[name]
+	}
+	return out
 }
 
-// histogramLines renders one histogram series: cumulative _bucket lines
-// (including the mandatory le="+Inf"), then _sum and _count.
-func histogramLines(name string, labels Labels, s HistogramSnapshot) []string {
-	out := make([]string, 0, len(s.Buckets)+3)
-	for _, bk := range s.Buckets {
-		l := withLabel(labels, "le", formatValue(bk.LE))
-		out = append(out, name+"_bucket"+renderLabels(l)+" "+strconv.FormatUint(bk.Count, 10))
+// samples reads one family's series: plain series sorted by identity
+// so label permutations stay stable, histograms in bucket order.
+func (f *family) samples() []Sample {
+	var out []Sample
+	for _, s := range f.series {
+		switch s.kind {
+		case kindCounter:
+			out = append(out, Sample{f.name, s.labels, float64(s.c.Value())})
+		case kindFunc:
+			out = append(out, Sample{f.name, s.labels, s.fn()})
+		case kindHistogram:
+			out = append(out, histogramSamples(f.name, s.labels, s.h.Snapshot())...)
+		}
 	}
-	l := withLabel(labels, "le", "+Inf")
-	out = append(out, name+"_bucket"+renderLabels(l)+" "+strconv.FormatUint(s.Count, 10))
-	out = append(out, name+"_sum"+renderLabels(labels)+" "+formatValue(s.SumSeconds))
-	out = append(out, name+"_count"+renderLabels(labels)+" "+strconv.FormatUint(s.Count, 10))
+	if f.setFn != nil {
+		for k, v := range f.setFn() {
+			out = append(out, Sample{f.name, Labels{f.setLabel: k}, float64(v)})
+		}
+	}
+	if f.typ != "histogram" {
+		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	}
 	return out
+}
+
+// histogramSamples expands one histogram series into its cumulative
+// _bucket samples (including the mandatory le="+Inf"), _sum, and
+// _count.
+func histogramSamples(name string, labels Labels, s HistogramSnapshot) []Sample {
+	out := make([]Sample, 0, len(s.Buckets)+3)
+	for _, bk := range s.Buckets {
+		out = append(out, Sample{name + "_bucket", withLabel(labels, "le", formatValue(bk.LE)), float64(bk.Count)})
+	}
+	return append(out,
+		Sample{name + "_bucket", withLabel(labels, "le", "+Inf"), float64(s.Count)},
+		Sample{name + "_sum", labels, s.SumSeconds},
+		Sample{name + "_count", labels, float64(s.Count)})
 }
 
 func withLabel(labels Labels, k, v string) Labels {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -127,5 +128,75 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	// 400 lands past the last bound: cumulative max stays below Count.
 	if last := s.Buckets[len(s.Buckets)-1]; last.Count != 4 {
 		t.Fatalf("last bucket %d, want 4 (one observation in +Inf)", last.Count)
+	}
+}
+
+// TestParseSamplesInvertsSamples pins that a scraped /metrics body reads
+// back as exactly the samples the registry holds — labels unescaped,
+// histogram buckets in order — so a remote scrape and a local read feed
+// the same renderers.
+func TestParseSamplesInvertsSamples(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("graphpipe_weird_total", "w", Labels{"path": `a\b"c` + "\nd", "tier": "x,y=z"}).Add(3)
+	r.GaugeFunc("graphpipe_g", "g", nil, func() float64 { return 0.25 })
+	h := r.Histogram("graphpipe_h_seconds", "h", Labels{"planner": "p"}, []float64{0.5, 1})
+	h.Observe(0.1)
+	h.Observe(2)
+	r.CounterSetFunc("graphpipe_faults_injected_total", "f", "site",
+		func() map[string]uint64 { return map[string]uint64{"disk/err": 2} })
+
+	var b strings.Builder
+	if err := r.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ParseSamples(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("ParseSamples(WriteText) =\n%v\nwant Samples() =\n%v", got, want)
+	}
+	for _, bad := range []string{`x{a="1} 2`, `x{a=1} 2`, `x{a="1"}2`, `9x 1`, `x one`} {
+		if _, err := ParseSamples(strings.NewReader(bad)); err == nil {
+			t.Errorf("ParseSamples(%q) accepted a malformed line", bad)
+		}
+	}
+}
+
+// TestSumAndRegroup pins the fleet arithmetic over two registries'
+// samples concatenated: Sum reads one series or a whole family, and
+// Histograms / Tallies regroup labelled families by one label, each
+// adding the series the registries share.
+func TestSumAndRegroup(t *testing.T) {
+	shard := func(hits, opens uint64, obs ...float64) []Sample {
+		r := NewRegistry()
+		r.Counter("graphpipe_cache_hits_total", "h", Labels{"tier": "memory"}).Add(hits)
+		r.Counter("graphpipe_cache_hits_total", "h", Labels{"tier": "disk"}).Add(1)
+		r.CounterSetFunc("graphpipe_opens_total", "o", "backend",
+			func() map[string]uint64 { return map[string]uint64{"a": opens, "b": 1} })
+		h := r.Histogram("graphpipe_h_seconds", "h", Labels{"planner": "p"}, []float64{1, 10})
+		for _, v := range obs {
+			h.Observe(v)
+		}
+		return r.Samples()
+	}
+	sum := append(shard(3, 2, 0.5, 20), shard(4, 5, 5)...)
+	for series, want := range map[string]float64{
+		`graphpipe_cache_hits_total{tier="memory"}`: 7,
+		"graphpipe_cache_hits_total":                9,
+		"graphpipe_opens_total":                     9,
+		`graphpipe_opens_total{backend="b"}`:        2,
+		"graphpipe_absent_total":                    0,
+	} {
+		if got := Sum(sum, series); got != want {
+			t.Errorf("Sum(%s) = %v, want %v", series, got, want)
+		}
+	}
+	want := HistogramSnapshot{Count: 3, SumSeconds: 25.5, Buckets: []HistogramBucket{{LE: 1, Count: 1}, {LE: 10, Count: 2}}}
+	if got := Histograms(sum, "graphpipe_h_seconds", "planner"); !reflect.DeepEqual(got, map[string]HistogramSnapshot{"p": want}) {
+		t.Errorf("Histograms = %+v, want p: %+v", got, want)
+	}
+	if got := Tallies(sum, "graphpipe_opens_total", "backend"); !reflect.DeepEqual(got, map[string]uint64{"a": 7, "b": 2}) {
+		t.Errorf("Tallies = %v, want a:7 b:2", got)
 	}
 }

@@ -8,14 +8,14 @@ import (
 	"strings"
 )
 
-// ParseText parses Prometheus text exposition output into a flat map
-// keyed by the full series identity (`name` or `name{labels}`) — the
-// inverse of WriteText, used by the round-trip tests that assert
-// /metrics and /v1/stats agree, and by fleetgen's scrape checks. Only
-// the subset of the format WriteText emits is understood; a malformed
-// sample line is an error, comment lines are skipped.
-func ParseText(r io.Reader) (map[string]float64, error) {
-	out := make(map[string]float64)
+// ParseSamples parses Prometheus text exposition output into samples —
+// the inverse of WriteText and the same form Registry.Samples returns,
+// so a scraped /metrics body and a local registry read alike. The fleet
+// router sums its shards' scrapes this way. Only the subset of the
+// format WriteText emits is understood (no timestamps); a malformed
+// sample line is an error, comment and blank lines are skipped.
+func ParseSamples(r io.Reader) ([]Sample, error) {
+	var out []Sample
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -23,24 +23,64 @@ func ParseText(r io.Reader) (map[string]float64, error) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		// The value is everything after the last space outside braces;
-		// label values may themselves contain spaces.
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("obs: malformed sample line %q", line)
-		}
-		key, val := line[:i], line[i+1:]
-		v, err := strconv.ParseFloat(val, 64)
+		s, err := parseSample(line)
 		if err != nil {
-			return nil, fmt.Errorf("obs: bad value in %q: %v", line, err)
+			return nil, err
 		}
-		if key == "" || strings.ContainsAny(key[:1], "0123456789") {
-			return nil, fmt.Errorf("obs: malformed series name in %q", line)
-		}
-		out[key] = v
+		out = append(out, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// ParseText is ParseSamples flattened to a map keyed by series identity
+// (`name` or `name{labels}`, labels sorted), for callers that look
+// series up by the name they would grep for.
+func ParseText(r io.Reader) (map[string]float64, error) {
+	samples, err := ParseSamples(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(samples))
+	for _, s := range samples {
+		out[s.ID()] = s.Value
+	}
+	return out, nil
+}
+
+// parseSample parses one `name{k="v",...} value` line. Label values
+// escape exactly as Go string literals do (\\, \", \n), so strconv
+// unquotes them.
+func parseSample(line string) (Sample, error) {
+	bad := func() (Sample, error) { return Sample{}, fmt.Errorf("obs: malformed sample line %q", line) }
+	end := strings.IndexAny(line, "{ ")
+	if end <= 0 || strings.ContainsAny(line[:1], "0123456789") {
+		return bad()
+	}
+	s := Sample{Name: line[:end]}
+	rest := line[end:]
+	if rest[0] == '{' {
+		s.Labels = Labels{}
+		for rest = rest[1:]; !strings.HasPrefix(rest, "}"); {
+			k, after, _ := strings.Cut(rest, "=")
+			q, err := strconv.QuotedPrefix(after)
+			if err != nil || k == "" {
+				return bad()
+			}
+			s.Labels[k], _ = strconv.Unquote(q)
+			rest = strings.TrimPrefix(after[len(q):], ",")
+		}
+		rest = rest[1:]
+	}
+	if !strings.HasPrefix(rest, " ") {
+		return bad()
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+	if err != nil {
+		return Sample{}, fmt.Errorf("obs: bad value in %q: %v", line, err)
+	}
+	s.Value = v
+	return s, nil
 }

@@ -215,12 +215,17 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, s.Stats())
 }
 
+// MaxBodyBytes bounds plan and eval request bodies, on the daemon and at
+// the fleet router. Planning requests are a few hundred bytes of JSON; a
+// larger body is a client error, not traffic.
+const MaxBodyBytes = 1 << 20
+
 // decodeBody parses a JSON request body strictly — unknown fields are
 // 400s, because a typoed option name silently planning with defaults (and
 // caching the wrong answer under the caller's intent) is the worst
-// failure mode a cache can have.
+// failure mode a cache can have. A body over MaxBodyBytes is a 400 too.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))

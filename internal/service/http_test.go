@@ -171,13 +171,13 @@ func TestHTTPOverloadIs429(t *testing.T) {
 			done <- resp.StatusCode
 		}()
 	}
-	var snap Snapshot
+	var snap Stats
 	waitFor(t, "pool saturation", func() bool {
 		_, data := get(t, srv.URL+"/v1/stats")
 		if err := json.Unmarshal(data, &snap); err != nil {
 			t.Fatal(err)
 		}
-		return snap.InFlight == 1 && snap.Queued == 1
+		return snap.Values["in_flight"] == 1 && snap.Values["queued"] == 1
 	})
 
 	resp, data := post(t, srv.URL+"/v1/plan", bodies[2])
@@ -206,11 +206,11 @@ func TestHTTPStats(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stats: %d", resp.StatusCode)
 	}
-	var snap Snapshot
+	var snap Stats
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("stats body: %v (%s)", err, data)
 	}
-	if snap.Planned != 1 || snap.HitsMemory != 1 || snap.Misses != 1 {
+	if snap.Values["planned"] != 1 || snap.Values["hits_memory"] != 1 || snap.Values["misses"] != 1 {
 		t.Errorf("stats after cold+warm: %+v", snap)
 	}
 	if _, ok := snap.PlannerLatency["stub"]; !ok {
@@ -280,7 +280,28 @@ func TestHTTPBudgetHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("mid-plan expiry: status = %d (%s), want 504", resp.StatusCode, data)
 	}
-	if got := s.Stats().DeadlineRejections; got != 2 {
-		t.Errorf("deadline_rejections = %d, want 2 (spent + mid-plan)", got)
+	if got := s.Stats().Values["deadline_rejections"]; got != 2 {
+		t.Errorf("deadline_rejections = %v, want 2 (spent + mid-plan)", got)
+	}
+}
+
+// TestHTTPBodyLimit pins the request-body cap: a plan body over
+// MaxBodyBytes is refused with a 400 once the limit is crossed, never
+// buffered whole.
+func TestHTTPBodyLimit(t *testing.T) {
+	stub.reset(nil)
+	srv := testServer(t, Config{})
+	huge := `{"model":"` + strings.Repeat("a", MaxBodyBytes) + `","devices":4,"planner":"stub"}`
+	for _, path := range []string{"/v1/plan", "/v1/eval"} {
+		resp, data := post(t, srv.URL+path, huge)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s with a %d-byte body: status %d, want 400", path, len(huge), resp.StatusCode)
+		}
+		if e := decodeAPIError(t, data); e.Error != "bad_request" || !strings.Contains(e.Detail, "too large") {
+			t.Errorf("%s over-limit body: %+v", path, e)
+		}
+	}
+	if resp, data := post(t, srv.URL+"/v1/plan", `{"model":"case-study","devices":4,"planner":"stub"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-limit plan after the refusals: %d %s", resp.StatusCode, data)
 	}
 }

@@ -11,12 +11,11 @@ import (
 )
 
 // TestStatsAndMetricsAgree is the unified-surface check: after a
-// scripted request mix, every counter /v1/stats reports in JSON must
-// equal the same counter scraped from /metrics in Prometheus text. The
-// two surfaces read the same obs atomics by construction — this test
-// exists to keep the *wiring* honest (a counter registered under the
-// wrong name, or a snapshot field reading the wrong series, shows up
-// as a mismatch here).
+// scripted request mix, every key /v1/stats reports in JSON must equal
+// its series scraped from /metrics in Prometheus text. /v1/stats renders
+// from the same registry by construction — this test exists to keep the
+// *table* honest (a key naming a series nobody registers reads 0 in
+// JSON and shows up here as a missing series).
 func TestStatsAndMetricsAgree(t *testing.T) {
 	s := newService(t, Config{CacheDir: t.TempDir()})
 	handler := s.Handler()
@@ -60,7 +59,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	}
 
 	statsRec := do(http.MethodGet, "/v1/stats", "")
-	var snap Snapshot
+	var snap Stats
 	if err := json.Unmarshal(statsRec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("stats JSON: %v", err)
 	}
@@ -75,36 +74,31 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 
 	// Sanity-pin a few absolute values so the identity check below can't
 	// pass vacuously on a fleet of zeros.
-	if snap.Misses != 2 || snap.HitsMemory < 2 || snap.Planned != 2 || snap.Evals != 1 {
-		t.Fatalf("scripted mix landed wrong: misses=%d hitsMem=%d planned=%d evals=%d",
-			snap.Misses, snap.HitsMemory, snap.Planned, snap.Evals)
+	v := snap.Values
+	if v["misses"] != 2 || v["hits_memory"] < 2 || v["planned"] != 2 || v["evals"] != 1 {
+		t.Fatalf("scripted mix landed wrong: misses=%v hitsMem=%v planned=%v evals=%v",
+			v["misses"], v["hits_memory"], v["planned"], v["evals"])
 	}
 
-	for metric, want := range map[string]uint64{
-		`graphpipe_cache_hits_total{tier="memory"}`: snap.HitsMemory,
-		`graphpipe_cache_hits_total{tier="disk"}`:   snap.HitsDisk,
-		`graphpipe_cache_misses_total`:              snap.Misses,
-		`graphpipe_planned_total`:                   snap.Planned,
-		`graphpipe_shared_waits_total`:              snap.SharedWaits,
-		`graphpipe_rejected_total`:                  snap.Rejected,
-		`graphpipe_evals_total`:                     snap.Evals,
-		`graphpipe_disk_failures_total`:             snap.DiskFailures,
-		`graphpipe_memo_warm_hits_total`:            snap.MemoWarmHits,
-		`graphpipe_memory_evictions_total`:          snap.MemoryEvictions,
-		`graphpipe_deadline_rejections_total`:       snap.DeadlineRejections,
-	} {
-		got, ok := series[metric]
+	// Every key of the stats table equals its series on /metrics. This
+	// daemon has a memo store, so every series is registered; the stats
+	// request itself moved no counter between the two reads.
+	for _, c := range statsView {
+		got, ok := series[c.Series]
 		if !ok {
-			t.Errorf("metric %s missing from /metrics", metric)
+			t.Errorf("%s: series %s missing from /metrics", c.Key, c.Series)
 			continue
 		}
-		if uint64(got) != want {
-			t.Errorf("%s = %v on /metrics but %d on /v1/stats", metric, got, want)
+		if got != v[c.Key] {
+			t.Errorf("%s = %v on /v1/stats but %s = %v on /metrics", c.Key, v[c.Key], c.Series, got)
 		}
+	}
+	if len(v) != len(statsView) {
+		t.Errorf("/v1/stats carries %d scalar keys, the stats table %d", len(v), len(statsView))
 	}
 
 	// The planner latency histogram carries the same observation count
-	// as the JSON snapshot's.
+	// as the JSON stats'.
 	h, ok := snap.PlannerLatency["stub"]
 	if !ok {
 		t.Fatal("no stub planner latency in /v1/stats")

@@ -66,7 +66,7 @@ func TestOverloadRetryAfterHeader(t *testing.T) {
 	}
 	waitFor(t, "one search in flight and one queued", func() bool {
 		snap := s.Stats()
-		return snap.InFlight == 1 && snap.Queued == 1
+		return snap.Values["in_flight"] == 1 && snap.Values["queued"] == 1
 	})
 
 	resp := postPlan(t, srv.URL, 64)
@@ -158,8 +158,8 @@ func TestPeerFillByteIdenticalNoSecondColdSearch(t *testing.T) {
 	if got := stub.calls.Load(); got != 1 {
 		t.Fatalf("planner ran %d times across the fleet, want exactly 1", got)
 	}
-	if snap := b.Stats(); snap.PeerFills != 1 || snap.Planned != 0 {
-		t.Fatalf("B stats = %d peer fills / %d planned, want 1 / 0", snap.PeerFills, snap.Planned)
+	if snap := b.Stats(); snap.Values["peer_fills"] != 1 || snap.Values["planned"] != 0 {
+		t.Fatalf("B stats = %v peer fills / %v planned, want 1 / 0", snap.Values["peer_fills"], snap.Values["planned"])
 	}
 
 	// The fill landed in both of B's tiers: a repeat is a memory hit, and
@@ -200,8 +200,8 @@ func TestPeerFillMissDegradesToPlan(t *testing.T) {
 	if got := <-headerSeen; got == "" {
 		t.Fatal("peer consult did not carry the peer-fill header; fleets would recurse")
 	}
-	if snap := s.Stats(); snap.PeerMisses != 1 || snap.Planned != 1 {
-		t.Fatalf("stats = %d peer misses / %d planned, want 1 / 1", snap.PeerMisses, snap.Planned)
+	if snap := s.Stats(); snap.Values["peer_misses"] != 1 || snap.Values["planned"] != 1 {
+		t.Fatalf("stats = %v peer misses / %v planned, want 1 / 1", snap.Values["peer_misses"], snap.Values["planned"])
 	}
 }
 
@@ -239,14 +239,14 @@ func TestPeerFillCountsTimeoutsAndErrors(t *testing.T) {
 		t.Fatalf("source = %q, want miss (fleet consults all failed)", res.Source)
 	}
 	snap := s.Stats()
-	if snap.PeerTimeouts != 1 {
-		t.Errorf("peer_timeouts = %d, want 1 (the slow peer)", snap.PeerTimeouts)
+	if snap.Values["peer_timeouts"] != 1 {
+		t.Errorf("peer_timeouts = %v, want 1 (the slow peer)", snap.Values["peer_timeouts"])
 	}
-	if snap.PeerErrors != 1 {
-		t.Errorf("peer_errors = %d, want 1 (the 500 peer)", snap.PeerErrors)
+	if snap.Values["peer_errors"] != 1 {
+		t.Errorf("peer_errors = %v, want 1 (the 500 peer)", snap.Values["peer_errors"])
 	}
-	if snap.PeerMisses != 1 || snap.Planned != 1 {
-		t.Errorf("stats = %d peer misses / %d planned, want 1 / 1", snap.PeerMisses, snap.Planned)
+	if snap.Values["peer_misses"] != 1 || snap.Values["planned"] != 1 {
+		t.Errorf("stats = %v peer misses / %v planned, want 1 / 1", snap.Values["peer_misses"], snap.Values["planned"])
 	}
 }
 
@@ -275,11 +275,11 @@ func TestPeerFillCorruptBodyDegradesToMiss(t *testing.T) {
 		t.Fatalf("source = %q, want miss (corrupt peer body must not fill)", res.Source)
 	}
 	snap := s.Stats()
-	if snap.PeerErrors != 1 {
-		t.Errorf("peer_errors = %d, want 1 (the unverifiable body)", snap.PeerErrors)
+	if snap.Values["peer_errors"] != 1 {
+		t.Errorf("peer_errors = %v, want 1 (the unverifiable body)", snap.Values["peer_errors"])
 	}
-	if snap.PeerFills != 0 {
-		t.Errorf("peer_fills = %d, want 0", snap.PeerFills)
+	if snap.Values["peer_fills"] != 0 {
+		t.Errorf("peer_fills = %v, want 0", snap.Values["peer_fills"])
 	}
 	if got := stub.calls.Load(); got != 1 {
 		t.Errorf("planner ran %d times, want 1 (the local recovery path)", got)
@@ -335,7 +335,7 @@ func TestPeerFillStopsWhenBudgetExpiresMidWalk(t *testing.T) {
 		t.Errorf("second peer saw %d consults, want 0 (budget died during the first)", got)
 	}
 	waitFor(t, "peer_timeouts to tick", func() bool {
-		return s.Stats().PeerTimeouts == 1
+		return s.Stats().Values["peer_timeouts"] == 1
 	})
 }
 
@@ -362,8 +362,8 @@ func TestMemoOfferEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("valid offer: status = %d, want 204", resp.StatusCode)
 	}
-	if got := s.Stats().MemoOffersReceived; got != 1 {
-		t.Fatalf("memo_offers_received = %d, want 1", got)
+	if got := s.Stats().Values["memo_offers_received"]; got != 1 {
+		t.Fatalf("memo_offers_received = %v, want 1", got)
 	}
 	if s.memos.Lookup(snap.Key) == nil {
 		t.Fatal("offered snapshot not installed in the memo store")
@@ -441,6 +441,6 @@ func TestMemoOffersReachNeighborOwners(t *testing.T) {
 		t.Fatal("no memo offer arrived at the neighbor owner")
 	}
 	waitFor(t, "memo_offers_sent to tick", func() bool {
-		return s.Stats().MemoOffersSent >= 1
+		return s.Stats().Values["memo_offers_sent"] >= 1
 	})
 }

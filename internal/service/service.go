@@ -173,9 +173,8 @@ func New(cfg Config) (*Service, error) {
 
 // registerGauges wires the instantaneous and externally owned values —
 // admission gauges, cache tier sizes, memo store counters, fault
-// tallies — into the metrics registry as scrape-time reads. The counter
-// halves of /v1/stats are obs counters already; after this, everything
-// the JSON snapshot reports is also on /metrics.
+// tallies — into the metrics registry as scrape-time reads, beside the
+// obs counters newStats registered.
 func (s *Service) registerGauges() {
 	r := s.stats.reg
 	r.GaugeFunc("graphpipe_in_flight", "Admitted planner searches currently running.", nil,
@@ -202,11 +201,6 @@ func (s *Service) registerGauges() {
 			s.cfg.Faults.Tallies)
 	}
 }
-
-// Metrics returns the service's metrics registry — the backing store of
-// GET /metrics. Embedders (the fleet router's in-process mode, tests)
-// may register additional series on it.
-func (s *Service) Metrics() *obs.Registry { return s.stats.reg }
 
 // Close drains the admission pool: accepted planning jobs finish and
 // publish to the cache, new ones are rejected. Called after the HTTP
@@ -545,18 +539,5 @@ func (s *Service) Eval(ctx context.Context, req EvalRequest) (*EvalResult, error
 	}, nil
 }
 
-// Stats snapshots the service's counters, gauges, and latency histograms.
-func (s *Service) Stats() Snapshot {
-	snap := s.stats.snapshot()
-	snap.InFlight = s.pool.inflight.Load()
-	snap.Queued = s.pool.queued.Load()
-	snap.MemoryEntries = s.memory.len()
-	snap.MemoryEvictions = s.memory.evictions.Load()
-	if s.memos != nil {
-		snap.MemoSnapshots = s.memos.Len()
-		snap.MemoInstalls = s.memos.Installs()
-		snap.MemoEvictions = s.memos.Evictions()
-	}
-	snap.FaultsInjected = s.cfg.Faults.Tallies()
-	return snap
-}
+// Stats renders the service's /v1/stats body from its metrics registry.
+func (s *Service) Stats() Stats { return RenderStats(s.stats.reg.Samples()) }

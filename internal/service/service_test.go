@@ -115,7 +115,7 @@ func TestSingleflightConcurrentIdenticalRequests(t *testing.T) {
 		}()
 	}
 	waitFor(t, "all requests to miss the cache", func() bool {
-		return s.Stats().Misses == n
+		return s.Stats().Values["misses"] == n
 	})
 	close(gate)
 	wg.Wait()
@@ -141,9 +141,9 @@ func TestSingleflightConcurrentIdenticalRequests(t *testing.T) {
 		}
 	}
 	snap := s.Stats()
-	if snap.Planned != 1 || snap.SharedWaits != n-1 || shared != n-1 {
-		t.Errorf("planned=%d shared_waits=%d shared-sources=%d, want 1/%d/%d",
-			snap.Planned, snap.SharedWaits, shared, n-1, n-1)
+	if snap.Values["planned"] != 1 || snap.Values["shared_waits"] != n-1 || shared != n-1 {
+		t.Errorf("planned=%v shared_waits=%v shared-sources=%v, want 1/%v/%v",
+			snap.Values["planned"], snap.Values["shared_waits"], shared, n-1, n-1)
 	}
 }
 
@@ -214,9 +214,9 @@ func TestMemoryEvictionAndDiskPromotion(t *testing.T) {
 		}
 	}
 	snap := s.Stats()
-	if snap.MemoryEntries != 2 || snap.MemoryEvictions != 1 {
-		t.Fatalf("after 3 plans into a 2-entry cache: entries=%d evictions=%d, want 2/1",
-			snap.MemoryEntries, snap.MemoryEvictions)
+	if snap.Values["memory_entries"] != 2 || snap.Values["memory_evictions"] != 1 {
+		t.Fatalf("after 3 plans into a 2-entry cache: entries=%v evictions=%v, want 2/1",
+			snap.Values["memory_entries"], snap.Values["memory_evictions"])
 	}
 
 	// The evicted plan (LRU: the first one) must come back from disk,
@@ -280,11 +280,11 @@ func TestOverloadShedding(t *testing.T) {
 		}()
 		if i == 0 {
 			waitFor(t, "first plan to occupy the worker", func() bool {
-				return s.Stats().InFlight == 1
+				return s.Stats().Values["in_flight"] == 1
 			})
 		} else {
 			waitFor(t, "second plan to queue", func() bool {
-				return s.Stats().Queued == 1
+				return s.Stats().Values["queued"] == 1
 			})
 		}
 	}
@@ -301,8 +301,8 @@ func TestOverloadShedding(t *testing.T) {
 			t.Errorf("admitted request failed: %v", err)
 		}
 	}
-	if got := s.Stats().Rejected; got != 1 {
-		t.Errorf("rejected = %d, want 1", got)
+	if got := s.Stats().Values["rejected"]; got != 1 {
+		t.Errorf("rejected = %v, want 1", got)
 	}
 }
 
@@ -426,7 +426,7 @@ func TestCorruptDiskEntryDegradesToMiss(t *testing.T) {
 	if r.Fingerprint != first.Fingerprint {
 		t.Errorf("replanned fingerprint %s != original %s", r.Fingerprint, first.Fingerprint)
 	}
-	if s.Stats().DiskFailures == 0 {
+	if s.Stats().Values["disk_failures"] == 0 {
 		t.Error("disk failure not counted")
 	}
 	// The re-plan must have healed the on-disk copy with its own bytes.
@@ -454,14 +454,14 @@ func TestLeaderCancellationDoesNotPoisonFlight(t *testing.T) {
 		r, err := s.Plan(leaderCtx, testRequest())
 		leader <- outcome{r, err}
 	}()
-	waitFor(t, "leader to miss", func() bool { return s.Stats().Misses == 1 })
+	waitFor(t, "leader to miss", func() bool { return s.Stats().Values["misses"] == 1 })
 
 	joiner := make(chan outcome, 1)
 	go func() {
 		r, err := s.Plan(context.Background(), testRequest())
 		joiner <- outcome{r, err}
 	}()
-	waitFor(t, "joiner to miss", func() bool { return s.Stats().Misses == 2 })
+	waitFor(t, "joiner to miss", func() bool { return s.Stats().Values["misses"] == 2 })
 
 	cancelLeader()
 	close(gate)
@@ -489,7 +489,7 @@ func TestCloseDrainsAdmittedWork(t *testing.T) {
 		_, err := s.Plan(context.Background(), testRequest())
 		done <- err
 	}()
-	waitFor(t, "plan to start", func() bool { return s.Stats().InFlight == 1 })
+	waitFor(t, "plan to start", func() bool { return s.Stats().Values["in_flight"] == 1 })
 
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()

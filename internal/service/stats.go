@@ -1,203 +1,124 @@
 package service
 
-import (
-	"sync"
-
-	"graphpipe/internal/obs"
-)
-
-// HistogramSnapshot and HistogramBucket are re-exported from obs, where
-// the histogram implementation now lives (shared with the fleet
-// router). The /v1/stats JSON shape is unchanged.
-type (
-	HistogramSnapshot = obs.HistogramSnapshot
-	HistogramBucket   = obs.HistogramBucket
-)
+import "graphpipe/internal/obs"
 
 // stats is the service's observability state. Every counter is an obs
-// counter registered in the service's metrics registry, so /v1/stats
-// and GET /metrics read the very same atomics — the two surfaces cannot
-// disagree. The per-planner histogram map is guarded by a mutex but
-// accessed once per cold plan, after a planner run that dwarfs it.
+// counter registered in the service's metrics registry, and /v1/stats
+// renders from that registry (statsView), so the two surfaces cannot
+// disagree.
 type stats struct {
 	reg *obs.Registry
 
-	hitsMemory        *obs.Counter
-	hitsDisk          *obs.Counter
-	misses            *obs.Counter
-	planned           *obs.Counter
-	sharedWaits       *obs.Counter
-	rejected          *obs.Counter
-	evals             *obs.Counter
-	diskFailures      *obs.Counter
-	memoWarmHits      *obs.Counter
-	memoEntriesReused *obs.Counter
-
-	peerFills          *obs.Counter
-	peerMisses         *obs.Counter
-	peerErrors         *obs.Counter
-	peerTimeouts       *obs.Counter
-	deadlineRejections *obs.Counter
-	memoOffersSent     *obs.Counter
-	memoOffersReceived *obs.Counter
-
-	mu        sync.Mutex
-	latencies map[string]*obs.Histogram // planner name → search latency
-	requests  map[string]*obs.Histogram // route name → request latency
+	hitsMemory, hitsDisk, misses, planned, sharedWaits, rejected, evals *obs.Counter
+	diskFailures, memoWarmHits, memoEntriesReused                       *obs.Counter
+	peerFills, peerMisses, peerErrors, peerTimeouts, deadlineRejections *obs.Counter
+	memoOffersSent, memoOffersReceived                                  *obs.Counter
 }
 
 func newStats() *stats {
 	r := obs.NewRegistry()
-	tier := func(t string) obs.Labels { return obs.Labels{"tier": t} }
+	c := func(name, help string) *obs.Counter { return r.Counter(name, help, nil) }
+	hits := func(tier string) *obs.Counter {
+		return r.Counter("graphpipe_cache_hits_total", "Plan requests answered by a cache tier.", obs.Labels{"tier": tier})
+	}
 	return &stats{
-		reg:        r,
-		hitsMemory: r.Counter("graphpipe_cache_hits_total", "Plan requests answered by a cache tier.", tier("memory")),
-		hitsDisk:   r.Counter("graphpipe_cache_hits_total", "Plan requests answered by a cache tier.", tier("disk")),
-		misses:     r.Counter("graphpipe_cache_misses_total", "Plan requests that missed both local tiers.", nil),
-		planned:    r.Counter("graphpipe_planned_total", "Cold planner runs.", nil),
-		sharedWaits: r.Counter("graphpipe_shared_waits_total",
-			"Requests that piggybacked on another request's planner run.", nil),
-		rejected: r.Counter("graphpipe_rejected_total", "Admissions refused with 429 (queue full).", nil),
-		evals:    r.Counter("graphpipe_evals_total", "Evaluation runs.", nil),
-		diskFailures: r.Counter("graphpipe_disk_failures_total",
-			"Disk-tier reads/writes that errored; each degraded to a miss.", nil),
-		memoWarmHits: r.Counter("graphpipe_memo_warm_hits_total",
-			"Planner runs that imported a compatible DP memo snapshot.", nil),
-		memoEntriesReused: r.Counter("graphpipe_memo_entries_reused_total",
-			"Imported memo entries consulted by warm-started runs.", nil),
-		peerFills:  r.Counter("graphpipe_peer_fills_total", "Local misses answered by a ring peer's artifact.", nil),
-		peerMisses: r.Counter("graphpipe_peer_misses_total", "Full peer consults that found nothing.", nil),
-		peerErrors: r.Counter("graphpipe_peer_errors_total", "Unreachable or invalid peer answers.", nil),
-		peerTimeouts: r.Counter("graphpipe_peer_timeouts_total",
-			"Peer consults/offers cut off by a timeout or budget.", nil),
-		deadlineRejections: r.Counter("graphpipe_deadline_rejections_total",
-			"Requests answered 504 because their time budget expired.", nil),
-		memoOffersSent:     r.Counter("graphpipe_memo_offers_sent_total", "DP memo snapshots pushed to ring peers.", nil),
-		memoOffersReceived: r.Counter("graphpipe_memo_offers_received_total", "DP memo snapshots accepted from peers.", nil),
+		reg:                r,
+		hitsMemory:         hits("memory"),
+		hitsDisk:           hits("disk"),
+		misses:             c("graphpipe_cache_misses_total", "Plan requests that missed both local tiers."),
+		planned:            c("graphpipe_planned_total", "Cold planner runs."),
+		sharedWaits:        c("graphpipe_shared_waits_total", "Requests that piggybacked on another request's planner run."),
+		rejected:           c("graphpipe_rejected_total", "Admissions refused with 429 (queue full)."),
+		evals:              c("graphpipe_evals_total", "Evaluation runs."),
+		diskFailures:       c("graphpipe_disk_failures_total", "Disk-tier reads/writes that errored; each degraded to a miss."),
+		memoWarmHits:       c("graphpipe_memo_warm_hits_total", "Planner runs that imported a compatible DP memo snapshot."),
+		memoEntriesReused:  c("graphpipe_memo_entries_reused_total", "Imported memo entries consulted by warm-started runs."),
+		peerFills:          c("graphpipe_peer_fills_total", "Local misses answered by a ring peer's artifact."),
+		peerMisses:         c("graphpipe_peer_misses_total", "Full peer consults that found nothing."),
+		peerErrors:         c("graphpipe_peer_errors_total", "Unreachable or invalid peer answers."),
+		peerTimeouts:       c("graphpipe_peer_timeouts_total", "Peer consults/offers cut off by a timeout or budget."),
+		deadlineRejections: c("graphpipe_deadline_rejections_total", "Requests answered 504 because their time budget expired."),
+		memoOffersSent:     c("graphpipe_memo_offers_sent_total", "DP memo snapshots pushed to ring peers."),
+		memoOffersReceived: c("graphpipe_memo_offers_received_total", "DP memo snapshots accepted from peers."),
 	}
 }
 
 func (s *stats) observePlanner(name string, seconds float64) {
-	s.mu.Lock()
-	if s.latencies == nil {
-		s.latencies = make(map[string]*obs.Histogram)
-	}
-	h, ok := s.latencies[name]
-	if !ok {
-		h = s.reg.Histogram("graphpipe_planner_search_seconds",
-			"Planner search latency by planner.", obs.Labels{"planner": name}, nil)
-		s.latencies[name] = h
-	}
-	s.mu.Unlock()
-	h.Observe(seconds)
+	s.reg.Histogram("graphpipe_planner_search_seconds",
+		"Planner search latency by planner.", obs.Labels{"planner": name}, nil).Observe(seconds)
 }
 
 // observeRequest records one HTTP request's end-to-end latency by route
 // ("plan", "eval", ...), feeding graphpipe_request_seconds on /metrics.
 func (s *stats) observeRequest(route string, seconds float64) {
-	s.mu.Lock()
-	if s.requests == nil {
-		s.requests = make(map[string]*obs.Histogram)
-	}
-	h, ok := s.requests[route]
-	if !ok {
-		h = s.reg.Histogram("graphpipe_request_seconds",
-			"HTTP request latency by route.", obs.Labels{"route": route}, nil)
-		s.requests[route] = h
-	}
-	s.mu.Unlock()
-	h.Observe(seconds)
+	s.reg.Histogram("graphpipe_request_seconds",
+		"HTTP request latency by route.", obs.Labels{"route": route}, nil).Observe(seconds)
 }
 
-// Snapshot is the exported form of the service's counters and gauges —
-// the body of GET /v1/stats.
-type Snapshot struct {
-	// Cache tier outcomes for Plan requests.
-	HitsMemory uint64 `json:"hits_memory"`
-	HitsDisk   uint64 `json:"hits_disk"`
-	Misses     uint64 `json:"misses"`
-	// Planned counts actual planner runs; SharedWaits counts requests
-	// that piggybacked on another request's run (singleflight).
-	Planned     uint64 `json:"planned"`
-	SharedWaits uint64 `json:"shared_waits"`
-	// Rejected counts admissions refused with ErrOverloaded.
-	Rejected uint64 `json:"rejected"`
-	// Evals counts evaluation runs.
-	Evals uint64 `json:"evals"`
-	// DiskFailures counts disk-tier reads/writes that errored (corrupt or
-	// misfiled artifacts, IO errors); each one degraded to a miss.
-	DiskFailures uint64 `json:"disk_failures"`
-	// MemoWarmHits counts planner runs that imported a compatible DP memo
-	// snapshot; MemoEntriesReused totals the imported entries those runs
-	// actually consulted.
-	MemoWarmHits      uint64 `json:"memo_warm_hits"`
-	MemoEntriesReused uint64 `json:"memo_entries_reused"`
-	// PeerFills counts local two-tier misses answered by a ring peer's
-	// artifact (each one avoided a cold search); PeerMisses counts full
-	// peer consults that found nothing; PeerErrors counts unreachable or
-	// invalid peer answers (each degraded to a miss); PeerTimeouts
-	// counts consults and offers cut off by FillTimeout or the
-	// request's budget (also degraded to misses, counted apart because
-	// a slow fleet wants a different fix than a broken one).
-	PeerFills    uint64 `json:"peer_fills"`
-	PeerMisses   uint64 `json:"peer_misses"`
-	PeerErrors   uint64 `json:"peer_errors"`
-	PeerTimeouts uint64 `json:"peer_timeouts"`
-	// DeadlineRejections counts requests this daemon answered with 504
-	// because their time budget (HeaderBudget) expired mid-request.
-	DeadlineRejections uint64 `json:"deadline_rejections"`
-	// MemoOffersSent counts DP memo snapshots pushed to the peers owning
-	// neighboring device counts; MemoOffersReceived counts snapshots
-	// accepted from peers via POST /v1/memos.
-	MemoOffersSent     uint64 `json:"memo_offers_sent"`
-	MemoOffersReceived uint64 `json:"memo_offers_received"`
-	// InFlight and Queued are the admission pool's instantaneous gauges;
-	// MemoryEntries and MemoryEvictions describe the memory cache tier.
-	InFlight        int64  `json:"in_flight"`
-	Queued          int64  `json:"queued"`
-	MemoryEntries   int    `json:"memory_entries"`
-	MemoryEvictions uint64 `json:"memory_evictions"`
-	// MemoSnapshots, MemoInstalls, and MemoEvictions describe the DP memo
-	// snapshot store (all zero when warm-starting is disabled).
-	MemoSnapshots int    `json:"memo_snapshots"`
-	MemoInstalls  uint64 `json:"memo_installs"`
-	MemoEvictions uint64 `json:"memo_evictions"`
-	// PlannerLatency maps planner name to its search-latency histogram.
-	PlannerLatency map[string]HistogramSnapshot `json:"planner_latency,omitempty"`
-	// FaultsInjected tallies injected faults by "site/kind" — empty in
-	// production (no fault spec); under chaos it lets every observed
-	// degradation be matched to the fault that caused it.
+// statsView is the scalar half of GET /v1/stats: each JSON key and the
+// series it reads. Adding a counter takes two edits in this file:
+// register it in newStats and give it a key here. A key whose series is
+// not registered (memo_* without a memo store) reads 0.
+var statsView = obs.View{
+	{Key: "hits_memory", Series: `graphpipe_cache_hits_total{tier="memory"}`},
+	{Key: "hits_disk", Series: `graphpipe_cache_hits_total{tier="disk"}`},
+	{Key: "misses", Series: "graphpipe_cache_misses_total"},
+	{Key: "planned", Series: "graphpipe_planned_total"},
+	{Key: "shared_waits", Series: "graphpipe_shared_waits_total"},
+	{Key: "rejected", Series: "graphpipe_rejected_total"},
+	{Key: "evals", Series: "graphpipe_evals_total"},
+	{Key: "disk_failures", Series: "graphpipe_disk_failures_total"},
+	{Key: "memo_warm_hits", Series: "graphpipe_memo_warm_hits_total"},
+	{Key: "memo_entries_reused", Series: "graphpipe_memo_entries_reused_total"},
+	{Key: "peer_fills", Series: "graphpipe_peer_fills_total"},
+	{Key: "peer_misses", Series: "graphpipe_peer_misses_total"},
+	{Key: "peer_errors", Series: "graphpipe_peer_errors_total"},
+	{Key: "peer_timeouts", Series: "graphpipe_peer_timeouts_total"},
+	{Key: "deadline_rejections", Series: "graphpipe_deadline_rejections_total"},
+	{Key: "memo_offers_sent", Series: "graphpipe_memo_offers_sent_total"},
+	{Key: "memo_offers_received", Series: "graphpipe_memo_offers_received_total"},
+	{Key: "in_flight", Series: "graphpipe_in_flight"},
+	{Key: "queued", Series: "graphpipe_queued"},
+	{Key: "memory_entries", Series: "graphpipe_memory_entries"},
+	{Key: "memory_evictions", Series: "graphpipe_memory_evictions_total"},
+	{Key: "memo_snapshots", Series: "graphpipe_memo_snapshots"},
+	{Key: "memo_installs", Series: "graphpipe_memo_installs_total"},
+	{Key: "memo_evictions", Series: "graphpipe_memo_evictions_total"},
+}
+
+// Stats is a GET /v1/stats body, rendered from metric samples.
+type Stats struct {
+	// Values holds every statsView key.
+	Values map[string]float64 `json:"-"`
+	// PlannerLatency regroups graphpipe_planner_search_seconds by planner.
+	PlannerLatency map[string]obs.HistogramSnapshot `json:"planner_latency,omitempty"`
+	// FaultsInjected regroups graphpipe_faults_injected_total by
+	// "site/kind": empty in production, under chaos the cause of every
+	// observed degradation.
 	FaultsInjected map[string]uint64 `json:"faults_injected,omitempty"`
 }
 
-func (s *stats) snapshot() Snapshot {
-	snap := Snapshot{
-		HitsMemory:        s.hitsMemory.Value(),
-		HitsDisk:          s.hitsDisk.Value(),
-		Misses:            s.misses.Value(),
-		Planned:           s.planned.Value(),
-		SharedWaits:       s.sharedWaits.Value(),
-		Rejected:          s.rejected.Value(),
-		Evals:             s.evals.Value(),
-		DiskFailures:      s.diskFailures.Value(),
-		MemoWarmHits:      s.memoWarmHits.Value(),
-		MemoEntriesReused: s.memoEntriesReused.Value(),
+// RenderStats renders a /v1/stats body from samples: a daemon's own
+// registry, one scraped /metrics body, or several concatenated, which
+// renders their sum.
+func RenderStats(samples []obs.Sample) Stats {
+	return Stats{
+		Values:         statsView.Read(samples),
+		PlannerLatency: obs.Histograms(samples, "graphpipe_planner_search_seconds", "planner"),
+		FaultsInjected: obs.Tallies(samples, "graphpipe_faults_injected_total", "site"),
+	}
+}
 
-		PeerFills:          s.peerFills.Value(),
-		PeerMisses:         s.peerMisses.Value(),
-		PeerErrors:         s.peerErrors.Value(),
-		PeerTimeouts:       s.peerTimeouts.Value(),
-		DeadlineRejections: s.deadlineRejections.Value(),
-		MemoOffersSent:     s.memoOffersSent.Value(),
-		MemoOffersReceived: s.memoOffersReceived.Value(),
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.latencies) > 0 {
-		snap.PlannerLatency = make(map[string]HistogramSnapshot, len(s.latencies))
-		for name, h := range s.latencies {
-			snap.PlannerLatency[name] = h.Snapshot()
-		}
-	}
-	return snap
+// statsFields is Stats without its JSON methods.
+type statsFields Stats
+
+// MarshalJSON writes the statsView keys in table order, then the
+// regrouped families.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	return statsView.Marshal(s.Values, statsFields(s))
+}
+
+// UnmarshalJSON reads a body MarshalJSON wrote.
+func (s *Stats) UnmarshalJSON(data []byte) error {
+	return statsView.Unmarshal(data, &s.Values, (*statsFields)(s))
 }

@@ -127,24 +127,24 @@ func TestConcurrentSynthSpecRequests(t *testing.T) {
 	}
 
 	snap := s.Stats()
-	totalPlanPath := snap.HitsMemory + snap.HitsDisk + snap.Misses
+	totalPlanPath := snap.Values["hits_memory"] + snap.Values["hits_disk"] + snap.Values["misses"]
 	if totalPlanPath == 0 {
 		t.Fatal("no plan-path requests recorded")
 	}
 	// Every miss resolved either to an owned planner run or a shared
 	// wait, and nothing planned twice per fingerprint.
-	if snap.Planned+snap.SharedWaits != snap.Misses {
-		t.Errorf("misses %d != planned %d + shared %d",
-			snap.Misses, snap.Planned, snap.SharedWaits)
+	if snap.Values["planned"]+snap.Values["shared_waits"] != snap.Values["misses"] {
+		t.Errorf("misses %v != planned %v + shared %v",
+			snap.Values["misses"], snap.Values["planned"], snap.Values["shared_waits"])
 	}
-	if snap.Planned != uint64(distinct) {
-		t.Errorf("planner ran %d times for %d distinct specs", snap.Planned, distinct)
+	if snap.Values["planned"] != float64(distinct) {
+		t.Errorf("planner ran %v times for %v distinct specs", snap.Values["planned"], distinct)
 	}
-	if snap.Rejected != 0 {
-		t.Errorf("default config shed %d requests", snap.Rejected)
+	if snap.Values["rejected"] != 0 {
+		t.Errorf("default config shed %v requests", snap.Values["rejected"])
 	}
-	if snap.InFlight != 0 || snap.Queued != 0 {
-		t.Errorf("gauges not drained: in-flight %d queued %d", snap.InFlight, snap.Queued)
+	if snap.Values["in_flight"] != 0 || snap.Values["queued"] != 0 {
+		t.Errorf("gauges not drained: in-flight %v queued %v", snap.Values["in_flight"], snap.Values["queued"])
 	}
 }
 

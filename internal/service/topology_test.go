@@ -78,17 +78,17 @@ func TestTopologyScopesCacheAndMemo(t *testing.T) {
 	if _, err := s.Plan(context.Background(), req("")); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Planned != 1 {
-		t.Fatalf("first plan ran %d planner runs, want 1", st.Planned)
+	if st := s.Stats(); st.Values["planned"] != 1 {
+		t.Fatalf("first plan ran %v planner runs, want 1", st.Values["planned"])
 	}
 
 	// Same cluster, different spelling: served from cache, no new run.
 	if _, err := s.Plan(context.Background(), req("summit")); err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.Planned != 1 || st.HitsMemory != 1 {
-		t.Fatalf("respelled Summit request: planned=%d memory_hits=%d, want 1/1",
-			st.Planned, st.HitsMemory)
+	if st := s.Stats(); st.Values["planned"] != 1 || st.Values["hits_memory"] != 1 {
+		t.Fatalf("respelled Summit request: planned=%v memory_hits=%v, want 1/1",
+			st.Values["planned"], st.Values["hits_memory"])
 	}
 
 	// Different cluster: a fresh planner run, and no warm hit off the
@@ -97,10 +97,10 @@ func TestTopologyScopesCacheAndMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Planned != 2 {
-		t.Errorf("hetero request reused the Summit plan: planned=%d, want 2", st.Planned)
+	if st.Values["planned"] != 2 {
+		t.Errorf("hetero request reused the Summit plan: planned=%v, want 2", st.Values["planned"])
 	}
-	if st.MemoWarmHits != 0 {
-		t.Errorf("hetero planner run warm-started from the Summit memo: warm_hits=%d", st.MemoWarmHits)
+	if st.Values["memo_warm_hits"] != 0 {
+		t.Errorf("hetero planner run warm-started from the Summit memo: warm_hits=%v", st.Values["memo_warm_hits"])
 	}
 }

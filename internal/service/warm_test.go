@@ -9,6 +9,8 @@ import (
 	"regexp"
 	"sync"
 	"testing"
+
+	"graphpipe/internal/obs"
 )
 
 // strategyBytes isolates the plan itself from provenance (search seconds,
@@ -40,10 +42,10 @@ func TestWarmStartAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.MemoInstalls != 1 || st.MemoSnapshots != 1 {
-		t.Fatalf("first plan: installs=%d snapshots=%d, want 1/1", st.MemoInstalls, st.MemoSnapshots)
+	if st.Values["memo_installs"] != 1 || st.Values["memo_snapshots"] != 1 {
+		t.Fatalf("first plan: installs=%v snapshots=%v, want 1/1", st.Values["memo_installs"], st.Values["memo_snapshots"])
 	}
-	if st.MemoWarmHits != 0 {
+	if st.Values["memo_warm_hits"] != 0 {
 		t.Fatalf("first plan claimed a warm hit")
 	}
 
@@ -53,11 +55,11 @@ func TestWarmStartAcrossRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = s.Stats()
-	if st.MemoWarmHits != 1 || st.MemoEntriesReused == 0 {
-		t.Errorf("replan: warm_hits=%d entries_reused=%d, want 1/>0", st.MemoWarmHits, st.MemoEntriesReused)
+	if st.Values["memo_warm_hits"] != 1 || st.Values["memo_entries_reused"] == 0 {
+		t.Errorf("replan: warm_hits=%v entries_reused=%v, want 1/>0", st.Values["memo_warm_hits"], st.Values["memo_entries_reused"])
 	}
-	if st.MemoInstalls != 2 || st.MemoSnapshots != 1 {
-		t.Errorf("replan: installs=%d snapshots=%d, want 2/1 (merged under one key)", st.MemoInstalls, st.MemoSnapshots)
+	if st.Values["memo_installs"] != 2 || st.Values["memo_snapshots"] != 1 {
+		t.Errorf("replan: installs=%v snapshots=%v, want 2/1 (merged under one key)", st.Values["memo_installs"], st.Values["memo_snapshots"])
 	}
 	if !warm.Artifact.Planner.WarmStarted || warm.Artifact.Planner.MemoEntriesReused == 0 {
 		t.Errorf("artifact provenance missing warm-start: %+v", warm.Artifact.Planner)
@@ -70,7 +72,7 @@ func TestWarmStartAcrossRequests(t *testing.T) {
 	if !bytes.Equal(strategyBytes(t, warm), strategyBytes(t, pristine)) {
 		t.Error("warm-started service strategy diverged from warm-disabled service")
 	}
-	if cs := cold.Stats(); cs.MemoInstalls != 0 || cs.MemoWarmHits != 0 || cs.MemoSnapshots != 0 {
+	if cs := cold.Stats(); cs.Values["memo_installs"] != 0 || cs.Values["memo_warm_hits"] != 0 || cs.Values["memo_snapshots"] != 0 {
 		t.Errorf("disabled store reported activity: %+v", cs)
 	}
 	if pristine.Artifact.Planner.WarmStarted {
@@ -114,16 +116,16 @@ func TestWarmStartConcurrentReplans(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Planned != uint64(len(reqs)) {
-		t.Fatalf("planned %d runs, want %d distinct", st.Planned, len(reqs))
+	if st.Values["planned"] != float64(len(reqs)) {
+		t.Fatalf("planned %v runs, want %v distinct", st.Values["planned"], len(reqs))
 	}
-	if st.MemoInstalls != st.Planned {
-		t.Errorf("installs=%d planned=%d — snapshot install is not exactly-once per run", st.MemoInstalls, st.Planned)
+	if st.Values["memo_installs"] != st.Values["planned"] {
+		t.Errorf("installs=%v planned=%v — snapshot install is not exactly-once per run", st.Values["memo_installs"], st.Values["planned"])
 	}
 	// One canonical graph and one option set → one compatibility key; the
 	// concurrent installs must have merged, not multiplied.
-	if st.MemoSnapshots != 1 {
-		t.Errorf("store holds %d snapshots, want 1 merged", st.MemoSnapshots)
+	if st.Values["memo_snapshots"] != 1 {
+		t.Errorf("store holds %v snapshots, want 1 merged", st.Values["memo_snapshots"])
 	}
 
 	cold := newService(t, Config{Workers: 4, QueueDepth: 64, MemoSnapshots: -1})
@@ -141,13 +143,14 @@ func TestWarmStartConcurrentReplans(t *testing.T) {
 
 // TestStatsDocsMatchSnapshot reconciles the README's GET /v1/stats field
 // table with the implementation, both ways: every documented field must
-// appear in a marshaled Snapshot, and every Snapshot field must be
-// documented. This is the test the table says it has.
+// appear in marshaled Stats — every stats table key plus the regrouped
+// families — and every field must be documented. This is the test the
+// table says it has.
 func TestStatsDocsMatchSnapshot(t *testing.T) {
-	snap := Snapshot{
-		// Populate the one omitempty field so it marshals.
-		PlannerLatency: map[string]HistogramSnapshot{"graphpipe": {}},
-	}
+	snap := RenderStats(nil)
+	// Populate the omitempty families so they marshal.
+	snap.PlannerLatency = map[string]obs.HistogramSnapshot{"graphpipe": {}}
+	snap.FaultsInjected = map[string]uint64{"peers/http.drop": 1}
 	data, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatal(err)

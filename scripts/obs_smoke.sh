@@ -157,6 +157,16 @@ done
 grep -q '^graphpipe_planned_total [1-9]' "$work/shard-metrics.txt" \
   || { echo "no shard metrics show a planner run"; exit 1; }
 
+echo "== router /v1/stats fleet block is the sum of the shards' /metrics"
+shard_planned="$(awk '$1 == "graphpipe_planned_total" { n += $2 } END { print n + 0 }' \
+  "$work/shard-metrics.txt")"
+curl -fsS "$lb/v1/stats" > "$work/lb-stats.json"
+# The fleet block renders first, so its "planned" is the first one.
+fleet_planned="$(awk -F': *' '/"planned":/ { sub(/,$/, "", $2); print $2; exit }' \
+  "$work/lb-stats.json")"
+[[ -n "$fleet_planned" && "$fleet_planned" == "$shard_planned" ]] \
+  || { echo "fleet planned '$fleet_planned' != shards' graphpipe_planned_total sum $shard_planned"; exit 1; }
+
 echo "== pprof answers on -debug-addr"
 curl -fsS "http://127.0.0.1:$debug_port/debug/pprof/cmdline" >/dev/null \
   || { echo "pprof debug listener not answering"; exit 1; }
