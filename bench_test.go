@@ -4,8 +4,8 @@
 // iteration — for one experiment and reports the paper's metrics as custom
 // benchmark outputs (samples/s, search seconds, pipeline depth, speedups),
 // so `go test -bench=.` prints the rows behind Figures 6–9, Table 1, and
-// the Appendix A.3 parity table. EXPERIMENTS.md records a captured run and
-// compares it against the paper's numbers.
+// the Appendix A.3 parity table. README's cmd/experiments section maps each
+// figure to the command that regenerates it as CSV.
 //
 // Absolute throughputs come from the simulated V100 cluster and are not
 // expected to match the paper's testbed; the reproduced artifacts are the
@@ -13,7 +13,6 @@
 package graphpipe_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -22,21 +21,20 @@ import (
 	"graphpipe/internal/models"
 )
 
-func modelGraph(model string) (*graph.Graph, error) {
-	switch model {
-	case "mmt":
-		return models.MMT(models.DefaultMMTConfig()), nil
-	case "mmt-2b":
-		cfg := models.DefaultMMTConfig()
-		cfg.Branches = 2
-		return models.MMT(cfg), nil
-	case "dlrm":
-		return models.DLRM(models.DefaultDLRMConfig()), nil
-	case "candle-uno":
-		return models.CANDLEUno(models.DefaultCANDLEUnoConfig()), nil
-	default:
-		return nil, fmt.Errorf("unknown model %q", model)
+// paperModel builds a paper evaluation model through models.Build, with
+// the Appendix A.2 mini-batch for the device count; branches > 0
+// overrides the model's branch count (Table 1's two-branch MMT).
+func paperModel(b *testing.B, model string, branches, devices int) (*graph.Graph, int) {
+	b.Helper()
+	g, _, err := models.Build(model, branches, devices)
+	if err != nil {
+		b.Fatal(err)
 	}
+	mb, err := models.PaperMiniBatch(model, devices)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g, mb
 }
 
 // reportOutcome attaches one system's metrics to the benchmark.
@@ -59,14 +57,7 @@ func reportOutcome(b *testing.B, prefix string, o experiments.Outcome) {
 // (its search time dominates and, for DLRM and CANDLE-Uno, it fails).
 
 func benchFig6(b *testing.B, model string, devices int) {
-	g, err := modelGraph(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mb, err := models.PaperMiniBatch(model, devices)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g, mb := paperModel(b, model, 0, devices)
 	var gp, pd experiments.Outcome
 	for i := 0; i < b.N; i++ {
 		gp = experiments.Run(experiments.GraphPipe, g, devices, mb, experiments.RunOptions{})
@@ -102,19 +93,8 @@ func BenchmarkFig6CANDLE32(b *testing.B) { benchFig6(b, "candle-uno", 32) }
 // (DLRM and CANDLE-Uno), and the MMT column uses the two-branch variant as
 // in §7.2.
 
-func benchTable1(b *testing.B, model string, devices int) {
-	g, err := modelGraph(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	paperModel := model
-	if model == "mmt-2b" {
-		paperModel = "mmt"
-	}
-	mb, err := models.PaperMiniBatch(paperModel, devices)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchTable1(b *testing.B, model string, branches, devices int) {
+	g, mb := paperModel(b, model, branches, devices)
 	var gp, pd, pi experiments.Outcome
 	for i := 0; i < b.N; i++ {
 		gp = experiments.Run(experiments.GraphPipe, g, devices, mb, experiments.RunOptions{})
@@ -134,16 +114,16 @@ func benchTable1(b *testing.B, model string, devices int) {
 	}
 }
 
-func BenchmarkTable1MMT4(b *testing.B)  { benchTable1(b, "mmt-2b", 4) }
-func BenchmarkTable1MMT8(b *testing.B)  { benchTable1(b, "mmt-2b", 8) }
-func BenchmarkTable1MMT16(b *testing.B) { benchTable1(b, "mmt-2b", 16) }
-func BenchmarkTable1MMT32(b *testing.B) { benchTable1(b, "mmt-2b", 32) }
+func BenchmarkTable1MMT4(b *testing.B)  { benchTable1(b, "mmt", 2, 4) }
+func BenchmarkTable1MMT8(b *testing.B)  { benchTable1(b, "mmt", 2, 8) }
+func BenchmarkTable1MMT16(b *testing.B) { benchTable1(b, "mmt", 2, 16) }
+func BenchmarkTable1MMT32(b *testing.B) { benchTable1(b, "mmt", 2, 32) }
 
-func BenchmarkTable1DLRM4(b *testing.B)  { benchTable1(b, "dlrm", 4) }
-func BenchmarkTable1DLRM32(b *testing.B) { benchTable1(b, "dlrm", 32) }
+func BenchmarkTable1DLRM4(b *testing.B)  { benchTable1(b, "dlrm", 0, 4) }
+func BenchmarkTable1DLRM32(b *testing.B) { benchTable1(b, "dlrm", 0, 32) }
 
-func BenchmarkTable1CANDLE4(b *testing.B)  { benchTable1(b, "candle-uno", 4) }
-func BenchmarkTable1CANDLE32(b *testing.B) { benchTable1(b, "candle-uno", 32) }
+func BenchmarkTable1CANDLE4(b *testing.B)  { benchTable1(b, "candle-uno", 0, 4) }
+func BenchmarkTable1CANDLE32(b *testing.B) { benchTable1(b, "candle-uno", 0, 32) }
 
 // --- Figure 7 (left): throughput versus parallel branch count -------------
 
@@ -222,14 +202,7 @@ func BenchmarkFig8CaseStudy(b *testing.B) {
 // --- Figure 9: ablation at 32 GPUs -----------------------------------------
 
 func benchFig9(b *testing.B, model string) {
-	g, err := modelGraph(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mb, err := models.PaperMiniBatch(model, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g, mb := paperModel(b, model, 0, 32)
 	var spp, par, full experiments.Outcome
 	for i := 0; i < b.N; i++ {
 		spp = experiments.Run(experiments.PipeDream, g, 32, mb, experiments.RunOptions{})

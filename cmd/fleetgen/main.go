@@ -6,16 +6,17 @@
 // The workload is deterministic in -seed: the same flags replay the
 // identical request sequence against any fleet, which is what makes
 // before/after comparisons across topology changes meaningful. Output
-// goes two ways at once: a `go test -bench`-style line on stdout for
-// cmd/benchreport ingestion, and (with -o) the full reduced result as
-// JSON. Assertion flags (-min-hit-ratio, -max-errors) turn a replay
-// into a smoke gate: scripts/fleet_smoke.sh uses them to fail CI when
-// the caches stop absorbing the hot head.
+// goes two ways at once: a `go test -bench`-style BenchmarkFleetGen line
+// on stdout, and (with -o) the full reduced result as JSON. Assertion
+// flags (-min-hit-ratio, -max-errors) turn a replay into a smoke gate:
+// scripts/fleet_smoke.sh uses them to fail CI when the caches stop
+// absorbing the hot head, and reads the line's warm p99 and cold p50 to
+// fail it when the warm fleet path stops beating a cold plan.
 //
 // Example — 2000 requests, Zipf 1.2, over a 48-question population:
 //
 //	fleetgen -target http://127.0.0.1:7100 -requests 2000 -zipf 1.2 \
-//	    -population 48 -concurrency 16 | benchreport -label fleet -o BENCH.json
+//	    -population 48 -concurrency 16 -o fleet.json
 package main
 
 import (

@@ -366,31 +366,6 @@ func (t *Topology) GroupSpansNodes(group []DeviceID) bool {
 	return false
 }
 
-// AllreduceBandwidth returns the per-device bandwidth available for a ring
-// allreduce over the group: the worse direction of the widest hierarchy
-// level the ring crosses (a ring sends both up and down the pipeline
-// order, so the slower direction paces it).
-func (t *Topology) AllreduceBandwidth(group []DeviceID) float64 {
-	l := 0
-	if len(group) >= 2 {
-		lo, hi := group[0], group[0]
-		for _, d := range group[1:] {
-			if d < lo {
-				lo = d
-			}
-			if d > hi {
-				hi = d
-			}
-		}
-		l = t.LinkLevel(lo, hi)
-	}
-	down, up := t.LevelDown(l), t.LevelUp(l)
-	if up < down {
-		return up
-	}
-	return down
-}
-
 // ContiguousBlock returns the block covering the device group if the ids
 // form a contiguous ascending run, which is how the planner places stages.
 // Evaluators use it to recover placement-aware costs from a strategy; for
@@ -407,37 +382,6 @@ func ContiguousBlock(ids []DeviceID) (Block, bool) {
 	}
 	return Block{Start: int(ids[0]), Count: len(ids)}, true
 }
-
-// Allocator hands out contiguous blocks of device IDs. Contiguous allocation
-// keeps data-parallel replicas of one stage on as few nodes as possible,
-// which is how the paper's runtime places stages.
-type Allocator struct {
-	topo *Topology
-	next DeviceID
-}
-
-// NewAllocator returns an allocator over t starting at device 0.
-func NewAllocator(t *Topology) *Allocator { return &Allocator{topo: t} }
-
-// Take allocates the next n contiguous devices. It returns an error if the
-// topology is exhausted, which indicates a planner bug (C3 violation).
-func (a *Allocator) Take(n int) ([]DeviceID, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: invalid allocation size %d", n)
-	}
-	if int(a.next)+n > a.topo.Len() {
-		return nil, fmt.Errorf("cluster: out of devices: want %d, have %d left", n, a.topo.Len()-int(a.next))
-	}
-	out := make([]DeviceID, n)
-	for i := range out {
-		out[i] = a.next
-		a.next++
-	}
-	return out, nil
-}
-
-// Remaining returns the number of unallocated devices.
-func (a *Allocator) Remaining() int { return a.topo.Len() - int(a.next) }
 
 // SortIDs sorts device ids ascending in place and returns them.
 func SortIDs(ids []DeviceID) []DeviceID {

@@ -57,40 +57,6 @@ func TestGroupSpansNodesAndAllreduce(t *testing.T) {
 	if topo.GroupSpansNodes([]DeviceID{5}) {
 		t.Error("singleton group spans nodes")
 	}
-	if bw := topo.AllreduceBandwidth([]DeviceID{0, 1}); bw != topo.IntraNodeBandwidth {
-		t.Errorf("intra allreduce bw = %g", bw)
-	}
-	if bw := topo.AllreduceBandwidth([]DeviceID{3, 4}); bw != topo.InterNodeBandwidth {
-		t.Errorf("inter allreduce bw = %g", bw)
-	}
-}
-
-func TestAllocator(t *testing.T) {
-	topo := NewSummitTopology(4)
-	a := NewAllocator(topo)
-	g1, err := a.Take(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1[0] != 0 || g1[1] != 1 {
-		t.Errorf("first allocation = %v", g1)
-	}
-	if a.Remaining() != 2 {
-		t.Errorf("Remaining = %d", a.Remaining())
-	}
-	g2, err := a.Take(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2[0] != 2 || g2[1] != 3 {
-		t.Errorf("second allocation = %v", g2)
-	}
-	if _, err := a.Take(1); err == nil {
-		t.Error("over-allocation succeeded")
-	}
-	if _, err := a.Take(0); err == nil {
-		t.Error("zero allocation succeeded")
-	}
 }
 
 func TestUniformTopology(t *testing.T) {

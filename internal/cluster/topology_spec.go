@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,13 +78,13 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("cluster: spec needs classes, levels, and an assignment")
 	}
 	for i, c := range s.Classes {
-		if c.MemoryBytes <= 0 || c.PeakFLOPS <= 0 || c.MemBandwidth <= 0 {
+		if !positive(c.MemoryBytes) || !positive(c.PeakFLOPS) || !positive(c.MemBandwidth) {
 			return fmt.Errorf("cluster: device class %d (%q) has non-positive capabilities", i, c.Name)
 		}
 	}
 	prev := 0
 	for i, l := range s.Levels {
-		if l.Width < 1 || l.DownBandwidth <= 0 || l.UpBandwidth <= 0 || l.Latency < 0 {
+		if l.Width < 1 || !positive(l.DownBandwidth) || !positive(l.UpBandwidth) || !finite(l.Latency) || l.Latency < 0 {
 			return fmt.Errorf("cluster: level %d (%q) has invalid width/bandwidth/latency", i, l.Name)
 		}
 		if i > 0 {
@@ -104,6 +105,13 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf. A non-finite rate
+// cannot be costed, and "+Inf" would not survive Canonical, whose
+// grammar uses '+' as a separator.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+func positive(v float64) bool { return finite(v) && v > 0 }
 
 // Build constructs the topology the spec describes.
 func (s Spec) Build() (*Topology, error) {

@@ -35,3 +35,23 @@ func TestParseSpecBoundsDevices(t *testing.T) {
 		t.Fatalf("spec at the limit: %d devices, %v; want %d, nil", len(got.Assign), err, MaxSpecDevices)
 	}
 }
+
+// TestParseSpecRejectsNonFinite pins the fuzz finding behind the
+// inf-memory seed: "Inf" once parsed as a class capability and rendered
+// canonically as "+Inf", which the grammar splits on '+', so the
+// canonical form no longer parsed. NaN rates and latencies, which no
+// cost can use, are refused the same way.
+func TestParseSpecRejectsNonFinite(t *testing.T) {
+	for _, s := range []string{
+		"topo:explicit/classes=a:Inf:1:1/levels=l0:4:1:1:0/assign=4xa",
+		"topo:explicit/classes=a:1:NaN:1/levels=l0:4:1:1:0/assign=4xa",
+		"topo:explicit/classes=a:1:1:1/levels=l0:4:NaN:1:0/assign=4xa",
+		"topo:explicit/classes=a:1:1:1/levels=l0:4:1:Inf:0/assign=4xa",
+		"topo:explicit/classes=a:1:1:1/levels=l0:4:1:1:Inf/assign=4xa",
+		"topo:explicit/classes=a:1:1:1/levels=l0:4:1:1:NaN/assign=4xa",
+	} {
+		if _, err := ParseSpec(s); err == nil {
+			t.Errorf("ParseSpec(%q) accepted a non-finite value", s)
+		}
+	}
+}

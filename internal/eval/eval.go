@@ -149,6 +149,24 @@ type Evaluator interface {
 	Evaluate(g *graph.Graph, topo *cluster.Topology, st *strategy.Strategy, opts Options) (*Report, error)
 }
 
+// StageConfig is the cost-model query for one placed strategy stage:
+// its gradient allreduce runs at the inter-node rate when its devices
+// span nodes, and a contiguous device run is costed at its placement
+// (other groups fall back to the placement-oblivious path). Assemble and
+// both backends cost stages through it, so they agree stage for stage.
+func StageConfig(topo *cluster.Topology, stage *strategy.Stage) costmodel.StageConfig {
+	cfg := costmodel.StageConfig{
+		Ops:                stage.Ops,
+		MicroBatch:         stage.Config.MicroBatch,
+		DataPar:            len(stage.Devices),
+		InterNodeAllreduce: topo.GroupSpansNodes(stage.Devices),
+	}
+	if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
+		cfg.Place = blk
+	}
+	return cfg
+}
+
 // Assemble derives a Report from a backend's raw task timeline. Both
 // built-in backends report through it, so every derived quantity —
 // per-stage busy/idle time, peak memory from in-flight replay, the
@@ -205,16 +223,7 @@ func Assemble(g *graph.Graph, model costmodel.Model, st *strategy.Strategy, back
 	var iterEnd float64
 	for i := range st.Stages {
 		stage := &st.Stages[i]
-		cfg := costmodel.StageConfig{
-			Ops:                stage.Ops,
-			MicroBatch:         stage.Config.MicroBatch,
-			DataPar:            len(stage.Devices),
-			InterNodeAllreduce: topo.GroupSpansNodes(stage.Devices),
-		}
-		if blk, ok := cluster.ContiguousBlock(stage.Devices); ok {
-			cfg.Place = blk
-		}
-		costs := model.Stage(g, cfg)
+		costs := model.Stage(g, StageConfig(topo, stage))
 		rep.Stages[i] = StageReport{
 			ComputeTime:         busy[i],
 			IdleTime:            computeSpan - firstStart - busy[i],

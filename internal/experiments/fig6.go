@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
 	"graphpipe/internal/synth"
 	"graphpipe/internal/trace"
@@ -24,33 +23,6 @@ type Fig6Result struct {
 	Rows  []Fig6Row
 }
 
-// buildModel constructs the evaluation model by name.
-func buildModel(model string) (*graph.Graph, error) {
-	switch model {
-	case "mmt":
-		return models.MMT(models.DefaultMMTConfig()), nil
-	case "dlrm":
-		return models.DLRM(models.DefaultDLRMConfig()), nil
-	case "candle-uno":
-		return models.CANDLEUno(models.DefaultCANDLEUnoConfig()), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown model %q", model)
-	}
-}
-
-// fig6Graph resolves the sub-figure's model: a paper model by name, or
-// a generated one for synth: specs — which lets the throughput-sweep
-// plumbing run on a tiny synthetic model in the smoke tests instead of
-// only on the full paper workloads. The graph is device-independent,
-// so Fig6 builds it once for the whole sweep.
-func fig6Graph(model string) (*graph.Graph, error) {
-	if synth.IsSpec(model) {
-		g, _, err := models.Build(model, 0, 1)
-		return g, err
-	}
-	return buildModel(model)
-}
-
 // fig6MiniBatch resolves one device count's mini-batch: the paper's
 // Appendix A.2 pairing for the paper models, the proportional default
 // for synth specs.
@@ -66,7 +38,10 @@ func fig6MiniBatch(model string, devs int) (int, error) {
 // mini-batch sizes (Appendix A.2). Piper's ✗ entries surface as Failed
 // outcomes, matching the paper's missing data points.
 func Fig6(model string, systems []System) (*Fig6Result, error) {
-	g, err := fig6Graph(model)
+	// The graph is device-independent, so one build serves the whole
+	// sweep; synth: specs let the smoke tests run the sweep on a tiny
+	// generated model.
+	g, _, err := models.Build(model, 0, 1)
 	if err != nil {
 		return nil, err
 	}

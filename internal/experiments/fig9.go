@@ -31,7 +31,7 @@ func Fig9() ([]Fig9Row, error) {
 	rows := make([]Fig9Row, len(modelNames))
 	var jobs []Job
 	for i, m := range modelNames {
-		g, err := buildModel(m)
+		g, _, err := models.Build(m, 0, devices)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,8 @@
 // (Table 1), branch-count and micro-batch sweeps (Figure 7), the case study
 // (Figure 8, §7.5), the ablation (Figure 9), and the sequential-model
 // parity check (Appendix A.3). Each driver returns typed rows plus
-// trace.CSV tables that cmd/experiments prints and EXPERIMENTS.md records.
+// trace.CSV tables that cmd/experiments prints (see README's cmd/experiments
+// section).
 package experiments
 
 import (

@@ -240,15 +240,6 @@ func (s *Set) Quiesced() bool {
 	return true
 }
 
-// TallyTotal sums Tallies — convenient for "did anything fire" gates.
-func (s *Set) TallyTotal() uint64 {
-	var total uint64
-	for _, n := range s.Tallies() {
-		total += n
-	}
-	return total
-}
-
 // Kinds lists the fault kinds this Set configures with non-zero
 // probability, sorted — the soak harness asserts how many kinds were
 // active.

@@ -285,24 +285,6 @@ func (g *Graph) Sinks() []NodeID {
 	return out
 }
 
-// TotalFwdFLOPs sums the forward FLOPs of all operators (per sample).
-func (g *Graph) TotalFwdFLOPs() float64 {
-	var s float64
-	for _, op := range g.ops {
-		s += op.FwdFLOPs
-	}
-	return s
-}
-
-// TotalParamBytes sums parameter bytes across all operators.
-func (g *Graph) TotalParamBytes() float64 {
-	var s float64
-	for _, op := range g.ops {
-		s += op.ParamBytes
-	}
-	return s
-}
-
 // String renders a compact multi-line description, useful in tests.
 func (g *Graph) String() string {
 	var sb strings.Builder

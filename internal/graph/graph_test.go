@@ -145,20 +145,10 @@ func TestChain(t *testing.T) {
 
 func TestAggregateCosts(t *testing.T) {
 	g, _, l, r, _ := diamond(t)
-	if got := g.TotalFwdFLOPs(); got != 410 {
-		t.Errorf("TotalFwdFLOPs = %v, want 410", got)
-	}
-	if got := g.TotalParamBytes(); got != 120 {
-		t.Errorf("TotalParamBytes = %v, want 120", got)
-	}
 	c := g.SubgraphCosts(NodeSetOf(l, r))
 	want := Costs{FwdFLOPs: 400, BwdFLOPs: 800, ParamBytes: 120, ActivationBytes: 48}
 	if c != want {
 		t.Errorf("SubgraphCosts = %+v, want %+v", c, want)
-	}
-	sum := c.Plus(Costs{FwdFLOPs: 1})
-	if sum.FwdFLOPs != 401 {
-		t.Errorf("Plus: %+v", sum)
 	}
 }
 
@@ -173,12 +163,6 @@ func TestCutBytes(t *testing.T) {
 	if got := g.CutBytes(NodeSetOf(l, r), NodeSetOf(d)); got != 16 {
 		t.Errorf("CutBytes({b,c}, d) = %v, want 16", got)
 	}
-	if got := g.InBytes(NodeSetOf(d)); got != 16 {
-		t.Errorf("InBytes(d) = %v, want 16", got)
-	}
-	if got := g.OutBytes(NodeSetOf(a)); got != 8 {
-		t.Errorf("OutBytes(a) = %v, want 8", got)
-	}
 	if !g.HasEdgeBetween(NodeSetOf(a), NodeSetOf(l)) {
 		t.Error("HasEdgeBetween(a, b) = false")
 	}
@@ -192,12 +176,6 @@ func TestStringAndDOT(t *testing.T) {
 	s := g.String()
 	if !strings.Contains(s, "diamond") || !strings.Contains(s, "4 ops") {
 		t.Errorf("String missing header: %q", s)
-	}
-	dot := g.DOT()
-	for _, want := range []string{"digraph", "n0 -> n1", "n2 -> n3"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT missing %q:\n%s", want, dot)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 )
 
@@ -295,27 +294,5 @@ func (g *Graph) AncestorsOf(start NodeSet) NodeSet {
 			}
 		}
 	}
-	return out
-}
-
-// IsDownset reports whether set is closed under predecessors: if v ∈ set
-// then every predecessor of v is in set. Downsets are the DP states of the
-// Piper baseline.
-func (g *Graph) IsDownset(set NodeSet) bool {
-	for _, v := range set.IDs() {
-		for _, p := range g.pred[v] {
-			if !set.Contains(p) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SortedIDs returns ids sorted ascending (a convenience for deterministic
-// iteration in planners).
-func SortedIDs(ids []NodeID) []NodeID {
-	out := append([]NodeID(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

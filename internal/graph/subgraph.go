@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Costs aggregates the per-sample cost of a set of operators. It is the
 // quantity planners balance across pipeline stages.
 type Costs struct {
@@ -20,16 +15,6 @@ func (c *Costs) Add(op Op) {
 	c.BwdFLOPs += op.BwdFLOPs
 	c.ParamBytes += op.ParamBytes
 	c.ActivationBytes += op.ActivationBytes
-}
-
-// Plus returns the element-wise sum c + d.
-func (c Costs) Plus(d Costs) Costs {
-	return Costs{
-		FwdFLOPs:        c.FwdFLOPs + d.FwdFLOPs,
-		BwdFLOPs:        c.BwdFLOPs + d.BwdFLOPs,
-		ParamBytes:      c.ParamBytes + d.ParamBytes,
-		ActivationBytes: c.ActivationBytes + d.ActivationBytes,
-	}
 }
 
 // SubgraphCosts sums the costs of all operators in set.
@@ -63,46 +48,6 @@ func (g *Graph) CutBytes(from, to NodeSet) float64 {
 	return total
 }
 
-// InBytes returns the per-sample bytes entering set from outside it.
-func (g *Graph) InBytes(set NodeSet) float64 {
-	var total float64
-	for v := 0; v < g.Len(); v++ {
-		id := NodeID(v)
-		if set.Contains(id) {
-			continue
-		}
-		sends := false
-		for _, w := range g.succ[id] {
-			if set.Contains(w) {
-				sends = true
-				break
-			}
-		}
-		if sends {
-			total += g.ops[id].OutputBytes
-		}
-	}
-	return total
-}
-
-// OutBytes returns the per-sample bytes leaving set to outside it.
-func (g *Graph) OutBytes(set NodeSet) float64 {
-	var total float64
-	for _, v := range set.IDs() {
-		sends := false
-		for _, w := range g.succ[v] {
-			if !set.Contains(w) {
-				sends = true
-				break
-			}
-		}
-		if sends {
-			total += g.ops[v].OutputBytes
-		}
-	}
-	return total
-}
-
 // HasEdgeBetween reports whether any edge runs from a node of `from` to a
 // node of `to`.
 func (g *Graph) HasEdgeBetween(from, to NodeSet) bool {
@@ -123,18 +68,4 @@ func (g *Graph) AllNodes() NodeSet {
 		s.Add(NodeID(v))
 	}
 	return s
-}
-
-// DOT renders the graph in Graphviz DOT format, for debugging and docs.
-func (g *Graph) DOT() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n  rankdir=LR;\n", g.name)
-	for _, op := range g.ops {
-		fmt.Fprintf(&sb, "  n%d [label=%q];\n", op.ID, op.Name)
-	}
-	for _, e := range g.edges {
-		fmt.Fprintf(&sb, "  n%d -> n%d;\n", e.From, e.To)
-	}
-	sb.WriteString("}\n")
-	return sb.String()
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // BenchLine renders the result as one `go test -bench`-style line,
-// which is the repo's lingua franca for performance numbers: fleetgen
-// output pipes straight into cmd/benchreport's existing parser and
-// lands in the committed BENCH_*.json baselines next to the planner
-// microbenchmarks, with no second ingestion path to maintain.
+// the same format as the planner microbenchmarks, so one line of
+// whitespace-separated value/unit pairs carries the fleet's numbers
+// (scripts/fleet_smoke.sh reads its warm/cold gate metrics with awk).
 //
 // Metric names double as the "units" column, matching the harness's
 // custom-metric convention (replan_warm_s, search_s, ...). Empty

@@ -73,7 +73,7 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-// TestBenchLineShape pins the benchreport contract: one Benchmark line,
+// TestBenchLineShape pins the line fleet_smoke.sh parses: one Benchmark line,
 // iteration count 1, value/unit pairs including the gate's two metrics,
 // omitting empty latency classes.
 func TestBenchLineShape(t *testing.T) {

@@ -581,7 +581,13 @@ func Decode(data []byte) (*Snapshot, error) {
 			sm.Nodes = make([]Node, nn)
 			for j := range sm.Nodes {
 				n := &sm.Nodes[j]
-				n.Leaf = r.u8() == 1
+				// Encode writes kind 0 or 1; anything else would decode
+				// to a snapshot that re-encodes to different bytes.
+				kind := r.u8()
+				if kind > 1 && r.err == nil {
+					r.err = fmt.Errorf("%w: node %d has kind %d", ErrCorruptSnapshot, j, kind)
+				}
+				n.Leaf = kind == 1
 				n.Zone = r.i32()
 				n.Devs = r.i32()
 				n.Left = r.i32()

@@ -134,23 +134,6 @@ func TestComputeInFlightPanicsOnInvalid(t *testing.T) {
 	ComputeInFlight(Config{MicroBatch: 0, K: 1}, nil)
 }
 
-func TestOptimizeK(t *testing.T) {
-	succ := []Successor{{Config: Config{MicroBatch: 4, K: 1}, InFlight: 8}}
-	cfg, ifl := OptimizeK(4, []int{1, 2, 4}, succ)
-	// k=1 minimizes in-flight on a uniform chain.
-	if cfg.K != 1 {
-		t.Errorf("OptimizeK chose k=%d, want 1", cfg.K)
-	}
-	if want := ComputeInFlight(Config{MicroBatch: 4, K: 1}, succ); ifl != want {
-		t.Errorf("OptimizeK in-flight = %d, want %d", ifl, want)
-	}
-	// Empty candidate list falls back to k=1.
-	cfg, _ = OptimizeK(2, nil, succ)
-	if cfg.K != 1 || cfg.MicroBatch != 2 {
-		t.Errorf("fallback config = %+v", cfg)
-	}
-}
-
 func TestBuildTasks1F1B(t *testing.T) {
 	cfg := Config{MicroBatch: 1, K: 1}
 	tasks, err := BuildTasks(cfg, 8, 4)

@@ -9,9 +9,9 @@ import (
 // The cold/warm pair quantifies what the serving layer buys: cold pays
 // request canonicalization + planner search + artifact encode + cache
 // fill; warm pays canonicalization + fingerprint + memory-LRU lookup.
-// scripts/bench.sh records both via cmd/benchreport (units
-// service_plan_cold_s / service_plan_warm_s), so the cold:warm ratio is
-// part of the committed perf trajectory.
+// Both report seconds per request (units service_plan_cold_s /
+// service_plan_warm_s), so one run shows the cold:warm ratio the daemon
+// exists to exploit.
 
 func benchRequest() Request {
 	return Request{Model: "case-study", Devices: 4}

@@ -192,6 +192,8 @@ func (s *Service) registerGauges() {
 			s.memos.Installs)
 		r.CounterFunc("graphpipe_memo_evictions_total", "DP memo snapshot evictions.", nil,
 			s.memos.Evictions)
+		r.CounterFunc("graphpipe_memo_disk_failures_total", "Memo shard reads/writes that errored or failed to decode; each degraded to a miss.", nil,
+			s.memos.DiskFailures)
 	}
 	if s.cfg.Faults != nil {
 		// Chaos visibility: every injected latency/drop/corruption event

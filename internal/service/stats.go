@@ -84,6 +84,7 @@ var statsView = obs.View{
 	{Key: "memo_snapshots", Series: "graphpipe_memo_snapshots"},
 	{Key: "memo_installs", Series: "graphpipe_memo_installs_total"},
 	{Key: "memo_evictions", Series: "graphpipe_memo_evictions_total"},
+	{Key: "memo_disk_failures", Series: "graphpipe_memo_disk_failures_total"},
 }
 
 // Stats is a GET /v1/stats body, rendered from metric samples.

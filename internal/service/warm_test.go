@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sync"
 	"testing"
@@ -77,6 +78,50 @@ func TestWarmStartAcrossRequests(t *testing.T) {
 	}
 	if pristine.Artifact.Planner.WarmStarted {
 		t.Error("warm-disabled service marked its artifact warm-started")
+	}
+}
+
+// TestCorruptMemoShardCounted pins memo_disk_failures: a corrupt DP memo
+// shard under CacheDir/memos degrades the warm-start lookup to a counted
+// miss, and the replan runs cold. (TestStatsAndMetricsAgree keeps the
+// key and its /metrics series in step.)
+func TestCorruptMemoShardCounted(t *testing.T) {
+	dir := t.TempDir()
+	req := func(devices int) Request {
+		return Request{Model: "mmt", Devices: devices, MiniBatch: 64, Planner: "graphpipe"}
+	}
+	if _, err := newService(t, Config{Workers: 1, CacheDir: dir}).Plan(context.Background(), req(4)); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "memos", "*.memo"))
+	if err != nil || len(shards) != 1 {
+		t.Fatalf("memo shards after the first plan: %v (err %v), want 1", shards, err)
+	}
+	data, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF // the body checksum no longer matches
+	if err := os.WriteFile(shards[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// A restarted daemon over the same cache dir holds no snapshot in
+	// memory, so the replan's warm-start lookup reads the corrupt shard.
+	s := newService(t, Config{Workers: 1, CacheDir: dir})
+	if s.Stats().Values["memo_disk_failures"] != 0 {
+		t.Fatal("memo_disk_failures nonzero before any lookup")
+	}
+	res, err := s.Plan(context.Background(), req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.Stats()
+	if st.Values["memo_disk_failures"] == 0 {
+		t.Error("corrupt memo shard not counted in memo_disk_failures")
+	}
+	if st.Values["memo_warm_hits"] != 0 || res.Artifact.Planner.WarmStarted {
+		t.Error("replan warm-started from a corrupt shard")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/memosnap"
-	"graphpipe/internal/models"
 	"graphpipe/internal/planner"
 )
 
@@ -16,13 +15,13 @@ import (
 // The scenario behind Options.WarmMemo: a job planned at 32 devices (the
 // Table 1 sweep points) loses nodes and must replan at smaller cluster
 // sizes with the same mini-batch. Each benchmark runs the descending
-// sweep as the service would — every plan exports its memo snapshot into
-// the store (MemoSink on both arms, merged as the service's memo store
-// does) so the next elastic event can warm-start. The Cold variant never
-// consumes a snapshot; the Warm variant seeds each replan from the
-// accumulated one. Both report seconds per full sweep; the CI bench
-// report fails if warm does not beat cold — the snapshot machinery must
-// pay for itself, and warm≡cold byte-identity is pinned separately by the
+// sweep twice as the service would — every plan exports its memo
+// snapshot into the store (MemoSink, merged as the service's memo store
+// does) so the next elastic event can warm-start. The cold sweep never
+// consumes a snapshot; the warm sweep seeds each replan from the
+// accumulated one. Both are reported in seconds per full sweep, and the
+// benchmark fails unless warm beats cold: the snapshot machinery must pay
+// for itself. Warm≡cold byte-identity is pinned separately by the
 // conformance suite.
 //
 // The sweep stays above 4 devices so every point shares the base plan's
@@ -30,15 +29,8 @@ import (
 // cost signature and correctly plans cold.
 var replanSweep = []int{24, 16, 8}
 
-func benchReplan(b *testing.B, model string, warm bool) {
-	g, err := modelGraph(model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mb, err := models.PaperMiniBatch(model, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchReplan(b *testing.B, model string) {
+	g, mb := paperModel(b, model, 0, 32)
 	pl, err := planner.Get("graphpipe")
 	if err != nil {
 		b.Fatal(err)
@@ -53,7 +45,7 @@ func benchReplan(b *testing.B, model string, warm bool) {
 		}
 	}
 
-	// The 32-device base plan is the starting point both arms share; it
+	// The 32-device base plan is the starting point both sweeps share; it
 	// is not timed, only its exported snapshot matters.
 	var snap *memosnap.Snapshot
 	plan(32, planner.Options{MemoSink: func(s *memosnap.Snapshot) { snap = s }})
@@ -61,9 +53,7 @@ func benchReplan(b *testing.B, model string, warm bool) {
 		b.Fatal("base plan exported no memo snapshot")
 	}
 
-	var total time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	sweep := func(warm bool) time.Duration {
 		cur := snap
 		start := time.Now()
 		for _, devices := range replanSweep {
@@ -75,22 +65,24 @@ func benchReplan(b *testing.B, model string, warm bool) {
 			}
 			plan(devices, opts)
 		}
-		total += time.Since(start)
+		return time.Since(start)
 	}
-	metric := "replan_cold_s"
-	if warm {
-		metric = "replan_warm_s"
+
+	var cold, warm time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cold += sweep(false)
+		warm += sweep(true)
 	}
-	b.ReportMetric(total.Seconds()/float64(b.N), metric)
+	coldS := cold.Seconds() / float64(b.N)
+	warmS := warm.Seconds() / float64(b.N)
+	b.ReportMetric(coldS, "replan_cold_s")
+	b.ReportMetric(warmS, "replan_warm_s")
+	if warmS >= coldS {
+		b.Fatalf("warm replan regressed on %s: %.3fs warm >= %.3fs cold", model, warmS, coldS)
+	}
 }
 
-func BenchmarkReplanColdMMT32(b *testing.B)  { benchReplan(b, "mmt", false) }
-func BenchmarkReplanWarmMMT32(b *testing.B)  { benchReplan(b, "mmt", true) }
-func BenchmarkReplanColdDLRM32(b *testing.B) { benchReplan(b, "dlrm", false) }
-func BenchmarkReplanWarmDLRM32(b *testing.B) { benchReplan(b, "dlrm", true) }
-func BenchmarkReplanColdCANDLE32(b *testing.B) {
-	benchReplan(b, "candle-uno", false)
-}
-func BenchmarkReplanWarmCANDLE32(b *testing.B) {
-	benchReplan(b, "candle-uno", true)
-}
+func BenchmarkReplanMMT32(b *testing.B)    { benchReplan(b, "mmt") }
+func BenchmarkReplanDLRM32(b *testing.B)   { benchReplan(b, "dlrm") }
+func BenchmarkReplanCANDLE32(b *testing.B) { benchReplan(b, "candle-uno") }

@@ -4,8 +4,9 @@
 # criteria from the outside: a plan computed cold on one shard is served
 # byte-identically by every other shard via peer cache-fill with no
 # second cold search, a skewed fleetgen replay meets its aggregate hit
-# ratio, the warm fleet path beats a cold plan (benchreport -check-fleet),
-# and the whole fleet drains cleanly on SIGTERM.
+# ratio, the warm fleet path beats a cold plan (the BenchmarkFleetGen
+# line's fleet_warm_p99_s < fleet_cold_p50_s), and the whole fleet
+# drains cleanly on SIGTERM.
 #
 # Usage: scripts/fleet_smoke.sh [base_port]   (default: 8890)
 set -euo pipefail
@@ -45,11 +46,30 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
+# check_fleet_gate FILE: read fleet_warm_p99_s and fleet_cold_p50_s from
+# the BenchmarkFleetGen line in FILE (value/unit pairs after the name
+# and iteration count) and fail unless both are present and warm < cold.
+# A missing metric breaks the gate instead of passing it vacuously.
+check_fleet_gate() {
+  awk '
+    $1 == "BenchmarkFleetGen" {
+      found = 1
+      for (i = 3; i < NF; i += 2) m[$(i + 1)] = $i
+    }
+    END {
+      if (!found) { print "no BenchmarkFleetGen line"; exit 1 }
+      if (!("fleet_warm_p99_s" in m)) { print "no fleet_warm_p99_s (no warm requests in the replay?)"; exit 1 }
+      if (!("fleet_cold_p50_s" in m)) { print "no fleet_cold_p50_s (no cold requests in the replay?)"; exit 1 }
+      w = m["fleet_warm_p99_s"] + 0; c = m["fleet_cold_p50_s"] + 0
+      if (w >= c) { printf "fleet warm path regressed: warm p99 %.4fs >= cold p50 %.4fs\n", w, c; exit 1 }
+      printf "fleet warm p99 %.4fs vs cold p50 %.4fs (%.2fx)\n", w, c, w / c
+    }' "$1"
+}
+
 echo "== build"
 go build -o "$work/graphpiped" ./cmd/graphpiped
 go build -o "$work/graphpipe-lb" ./cmd/graphpipe-lb
 go build -o "$work/fleetgen" ./cmd/fleetgen
-go build -o "$work/benchreport" ./cmd/benchreport
 
 peers=""
 for i in 0 1 2; do
@@ -110,9 +130,8 @@ echo "== skewed replay through the router (fleetgen)"
   -population 8 -devices 2,4 -seed 7 -min-hit-ratio 0.5 -max-errors 0 \
   -o "$work/fleetgen.json" | tee "$work/fleet-bench.txt"
 
-echo "== warm fleet path must beat a cold plan (benchreport -check-fleet)"
-"$work/benchreport" -label fleet-smoke -note "fleet smoke" \
-  -o "$work/fleet-bench.json" -in "$work/fleet-bench.txt" -check-fleet
+echo "== warm fleet path must beat a cold plan"
+check_fleet_gate "$work/fleet-bench.txt"
 
 echo "== graceful shutdown (SIGTERM all)"
 for pid in "${pids[@]}"; do
