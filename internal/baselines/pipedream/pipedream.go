@@ -22,29 +22,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
-	"graphpipe/internal/schedule"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
-
-// Options tunes the baseline planner.
-type Options struct {
-	// MaxMicroBatch caps candidate micro-batch sizes (default 4096).
-	MaxMicroBatch int
-	// ForcedMicroBatch restricts the search to one size (Figure 7 right).
-	ForcedMicroBatch int
-}
-
-// Result is the planning outcome.
-type Result struct {
-	Strategy      *strategy.Strategy
-	BottleneckTPS float64
-	DPStates      int
-}
 
 // ErrNoStrategy is returned when no partition fits device memory.
 var ErrNoStrategy = errors.New("pipedream: no valid strategy found")
@@ -54,16 +38,14 @@ type Planner struct {
 	g     *graph.Graph
 	model costmodel.Model
 	topo  *cluster.Topology
-	opts  Options
+	opts  planner.Options
 	order []graph.NodeID // linearized operator chain
 }
 
 // NewPlanner constructs the planner. Any DAG is accepted: linearization
-// imposes a total order regardless of branches.
-func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) *Planner {
-	if opts.MaxMicroBatch == 0 {
-		opts.MaxMicroBatch = 4096
-	}
+// imposes a total order regardless of branches. Of opts it reads the
+// micro-batch knobs; the cost model is the one passed here.
+func NewPlanner(g *graph.Graph, model costmodel.Model, opts planner.Options) *Planner {
 	return &Planner{
 		g:     g,
 		model: model,
@@ -177,32 +159,15 @@ func (s *searchState) dp(i, d, depth int) dpEntry {
 	return best
 }
 
-func (p *Planner) microBatchCandidates(miniBatch int) []int {
-	if p.opts.ForcedMicroBatch > 0 {
-		if miniBatch%p.opts.ForcedMicroBatch != 0 {
-			return nil
-		}
-		return []int{p.opts.ForcedMicroBatch}
-	}
-	var out []int
-	for b := 1; b <= miniBatch && b <= p.opts.MaxMicroBatch; b *= 2 {
-		if miniBatch%b == 0 {
-			out = append(out, b)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
 // Plan searches stage counts, split points, replication factors, and
 // micro-batch sizes, returning the strategy with the lowest bottleneck TPS.
-func (p *Planner) Plan(miniBatch int) (*Result, error) {
+func (p *Planner) Plan(miniBatch int) (*strategy.Strategy, planner.Stats, error) {
 	if miniBatch <= 0 {
-		return nil, fmt.Errorf("pipedream: invalid mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("pipedream: invalid mini-batch %d", miniBatch)
 	}
-	bCands := p.microBatchCandidates(miniBatch)
+	bCands := p.opts.MicroBatchCandidates(miniBatch)
 	if len(bCands) == 0 {
-		return nil, fmt.Errorf("pipedream: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("pipedream: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
 	}
 	maxDepth := p.topo.Len()
 	if n := len(p.order); n < maxDepth {
@@ -237,60 +202,28 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		states += s.states
 	}
 	if best == nil {
-		return nil, ErrNoStrategy
+		return nil, planner.Stats{}, ErrNoStrategy
 	}
 	st, err := p.assemble(best.s, best.depth, miniBatch)
 	if err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
-	return &Result{Strategy: st, BottleneckTPS: best.entry.bottleneck, DPStates: states}, nil
+	return st, planner.Stats{BottleneckTPS: best.entry.bottleneck, DPStates: states}, nil
 }
 
-// assemble reconstructs the chain of stages from the memoized splits and
-// builds the sequential 1F1B strategy.
+// assemble reconstructs the chain of stages from the memoized splits.
 func (p *Planner) assemble(s *searchState, depth, miniBatch int) (*strategy.Strategy, error) {
-	st := &strategy.Strategy{Planner: "pipedream", MiniBatch: miniBatch}
 	i, d := 0, p.topo.Len()
-	var order []strategy.StageID
-	var counts []int
+	var ops []graph.NodeSet
+	var devices []int
 	for k := depth; k >= 1; k-- {
 		e := s.memo[[3]int{i, d, k}]
 		if !e.ok {
 			return nil, fmt.Errorf("pipedream: reconstruction failed at (%d,%d,%d)", i, d, k)
 		}
-		id := strategy.StageID(len(st.Stages))
-		cfg := schedule.Config{MicroBatch: s.b, K: 1}
-		inFlight := k * s.b // 1F1B: depth-from-sink micro-batches
-		tasks, err := schedule.BuildTasks(cfg, miniBatch, inFlight)
-		if err != nil {
-			return nil, err
-		}
-		st.Stages = append(st.Stages, strategy.Stage{
-			ID:              id,
-			Ops:             s.opsRange(i, e.j),
-			Config:          cfg,
-			InFlightSamples: inFlight,
-			Tasks:           tasks,
-		})
-		counts = append(counts, e.d1)
-		order = append(order, id)
+		ops = append(ops, s.opsRange(i, e.j))
+		devices = append(devices, e.d1)
 		i, d = e.j, d-e.d1
 	}
-	groups, err := cluster.PlaceStages(p.topo, counts)
-	if err != nil {
-		return nil, err
-	}
-	for gi := range st.Stages {
-		st.Stages[gi].Devices = groups[gi]
-	}
-	if err := st.BuildEdges(p.g); err != nil {
-		return nil, err
-	}
-	// The linearization's imaginary dependencies make the pipeline
-	// strictly sequential (Figure 2, top).
-	st.AddSequentialEdges(order)
-	if err := st.Validate(p.g, p.topo); err != nil {
-		return nil, fmt.Errorf("pipedream: assembled strategy invalid: %w", err)
-	}
-	return st, nil
+	return strategy.SequentialChain(p.g, p.topo, "pipedream", miniBatch, s.b, ops, devices)
 }

@@ -6,42 +6,42 @@ import (
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/sim"
+	"graphpipe/internal/strategy"
 )
 
-func plan(t testing.TB, devices, mini int, opts Options) (*Result, costmodel.Model) {
+func plan(t testing.TB, devices, mini int, opts planner.Options) *strategy.Strategy {
 	t.Helper()
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(devices)
-	m := costmodel.NewDefault(topo)
-	p := NewPlanner(g, m, opts)
-	r, err := p.Plan(mini)
+	st, _, err := NewPlanner(g, costmodel.NewDefault(topo), opts).Plan(mini)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
-	return r, m
+	return st
 }
 
 func TestPlanChainValid(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, stats, err := NewPlanner(g, m, planner.Options{}).Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("invalid strategy: %v", err)
 	}
-	if r.Strategy.Planner != "pipedream" {
-		t.Errorf("planner tag = %q", r.Strategy.Planner)
+	if st.Planner != "pipedream" {
+		t.Errorf("planner tag = %q", st.Planner)
 	}
 	// Sequential: depth equals stage count.
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
-		t.Errorf("depth %d != stages %d", r.Strategy.Depth(), r.Strategy.NumStages())
+	if st.Depth() != st.NumStages() {
+		t.Errorf("depth %d != stages %d", st.Depth(), st.NumStages())
 	}
-	if r.DPStates == 0 || r.BottleneckTPS <= 0 {
-		t.Errorf("stats missing: %+v", r)
+	if stats.DPStates == 0 || stats.BottleneckTPS <= 0 {
+		t.Errorf("stats missing: %+v", stats)
 	}
 }
 
@@ -55,29 +55,28 @@ func TestSPPStaysSequentialOnBranches(t *testing.T) {
 	g := models.MMT(cfg)
 	topo := cluster.NewSummitTopology(8)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, _, err := NewPlanner(g, m, planner.Options{}).Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatal(err)
 	}
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
+	if st.Depth() != st.NumStages() {
 		t.Errorf("SPP produced non-sequential pipeline: depth %d, stages %d",
-			r.Strategy.Depth(), r.Strategy.NumStages())
+			st.Depth(), st.NumStages())
 	}
 	// 1F1B in-flight counts decrease along the chain.
-	for i := 1; i < r.Strategy.NumStages(); i++ {
-		if r.Strategy.Stages[i].InFlightSamples > r.Strategy.Stages[i-1].InFlightSamples {
+	for i := 1; i < st.NumStages(); i++ {
+		if st.Stages[i].InFlightSamples > st.Stages[i-1].InFlightSamples {
 			t.Errorf("in-flight not monotone along chain: stage %d", i)
 		}
 	}
 }
 
 func TestUsesAllDevices(t *testing.T) {
-	r, _ := plan(t, 4, 32, Options{})
 	used := 0
-	for _, st := range r.Strategy.Stages {
+	for _, st := range plan(t, 4, 32, planner.Options{}).Stages {
 		used += len(st.Devices)
 	}
 	if used != 4 {
@@ -86,15 +85,14 @@ func TestUsesAllDevices(t *testing.T) {
 }
 
 func TestForcedMicroBatch(t *testing.T) {
-	r, _ := plan(t, 4, 32, Options{ForcedMicroBatch: 4})
-	for _, st := range r.Strategy.Stages {
+	for _, st := range plan(t, 4, 32, planner.Options{ForcedMicroBatch: 4}).Stages {
 		if st.Config.MicroBatch != 4 {
 			t.Errorf("micro-batch = %d, want 4", st.Config.MicroBatch)
 		}
 	}
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{ForcedMicroBatch: 5}).Plan(32); err == nil {
+	if _, _, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{ForcedMicroBatch: 5}).Plan(32); err == nil {
 		t.Error("accepted non-dividing forced micro-batch")
 	}
 }
@@ -102,7 +100,7 @@ func TestForcedMicroBatch(t *testing.T) {
 func TestInvalidMiniBatch(t *testing.T) {
 	g := models.SequentialTransformer(4)
 	topo := cluster.NewSummitTopology(2)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}).Plan(0); err == nil {
+	if _, _, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{}).Plan(0); err == nil {
 		t.Error("accepted zero mini-batch")
 	}
 }
@@ -110,7 +108,7 @@ func TestInvalidMiniBatch(t *testing.T) {
 func TestInfeasibleMemory(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewUniformTopology(4, 1e6, 100e9)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}).Plan(32); err == nil {
+	if _, _, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{}).Plan(32); err == nil {
 		t.Error("planned into 1MB devices")
 	}
 }
@@ -119,11 +117,11 @@ func TestStrategySimulates(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, _, err := NewPlanner(g, m, planner.Options{}).Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.New(g, m).Run(r.Strategy)
+	res, err := sim.New(g, m).Run(st)
 	if err != nil {
 		t.Fatalf("simulation failed: %v", err)
 	}

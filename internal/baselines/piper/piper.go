@@ -18,42 +18,30 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
-	"graphpipe/internal/schedule"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
 
-// Options tunes the baseline planner.
-type Options struct {
-	// MaxMicroBatch caps candidate micro-batch sizes (default 4096).
-	MaxMicroBatch int
-	// ForcedMicroBatch restricts the search to one size.
-	ForcedMicroBatch int
-	// StateBudget bounds the number of DP states plus enumeration steps
-	// before the planner gives up (default 5e7), reproducing Table 1's ✗
-	// for many-branch models.
-	StateBudget int
-	// DownsetLimit aborts before the DP if a quick count shows the graph
-	// has more downsets than this (default 50 000): the lattice is the DP
-	// state space, so exceeding it guarantees an explosion. This is the
-	// cheap structural check behind Table 1's immediate ✗ entries.
-	DownsetLimit int
-	// Timeout bounds the planner wall-clock ("no strategy within
-	// reasonable timeframes", §7.1; default 5 minutes).
-	Timeout time.Duration
-}
-
-// Result is the planning outcome.
-type Result struct {
-	Strategy      *strategy.Strategy
-	BottleneckTPS float64
-	DPStates      int
-}
+// Search bounds. A zero planner.Options.StateBudget or Timeout selects the
+// default here; the downset limit is fixed.
+const (
+	// defaultStateBudget bounds DP states plus enumeration steps before the
+	// planner gives up, reproducing Table 1's ✗ for many-branch models.
+	defaultStateBudget = 50_000_000
+	// downsetLimit aborts before the DP when a quick count shows the graph
+	// has more downsets than this: the lattice is the DP state space, so
+	// exceeding it guarantees an explosion. This is the cheap structural
+	// check behind Table 1's immediate ✗ entries.
+	downsetLimit = 50_000
+	// defaultTimeout bounds the planner wall-clock ("no strategy within
+	// reasonable timeframes", §7.1).
+	defaultTimeout = 5 * time.Minute
+)
 
 // ErrSearchExplosion is returned when the downset lattice exceeds the state
 // budget (the ✗ of Table 1).
@@ -67,22 +55,17 @@ type Planner struct {
 	g     *graph.Graph
 	model costmodel.Model
 	topo  *cluster.Topology
-	opts  Options
+	opts  planner.Options
 }
 
-// NewPlanner constructs the planner.
-func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) *Planner {
-	if opts.MaxMicroBatch == 0 {
-		opts.MaxMicroBatch = 4096
-	}
+// NewPlanner constructs the planner. Of opts it reads the micro-batch
+// knobs, StateBudget and Timeout; the cost model is the one passed here.
+func NewPlanner(g *graph.Graph, model costmodel.Model, opts planner.Options) *Planner {
 	if opts.StateBudget == 0 {
-		opts.StateBudget = 50_000_000
-	}
-	if opts.DownsetLimit == 0 {
-		opts.DownsetLimit = 50_000
+		opts.StateBudget = defaultStateBudget
 	}
 	if opts.Timeout == 0 {
-		opts.Timeout = 5 * time.Minute
+		opts.Timeout = defaultTimeout
 	}
 	return &Planner{g: g, model: model, topo: model.Topology(), opts: opts}
 }
@@ -333,35 +316,18 @@ func (s *searchState) dp(upset graph.NodeSet, d, depth int, evals map[string]*st
 
 func itoa(n int) string { return fmt.Sprint(n) }
 
-func (p *Planner) microBatchCandidates(miniBatch int) []int {
-	if p.opts.ForcedMicroBatch > 0 {
-		if miniBatch%p.opts.ForcedMicroBatch != 0 {
-			return nil
-		}
-		return []int{p.opts.ForcedMicroBatch}
-	}
-	var out []int
-	for b := 1; b <= miniBatch && b <= p.opts.MaxMicroBatch; b *= 2 {
-		if miniBatch%b == 0 {
-			out = append(out, b)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
-}
-
 // Plan runs the downset DP over stage counts and micro-batch sizes.
-func (p *Planner) Plan(miniBatch int) (*Result, error) {
+func (p *Planner) Plan(miniBatch int) (*strategy.Strategy, planner.Stats, error) {
 	if miniBatch <= 0 {
-		return nil, fmt.Errorf("piper: invalid mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("piper: invalid mini-batch %d", miniBatch)
 	}
-	bCands := p.microBatchCandidates(miniBatch)
+	bCands := p.opts.MicroBatchCandidates(miniBatch)
 	if len(bCands) == 0 {
-		return nil, fmt.Errorf("piper: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("piper: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
 	}
 	// Structural pre-check: the downset lattice is the DP state space.
-	if n := CountDownsets(p.g, p.opts.DownsetLimit); n > p.opts.DownsetLimit {
-		return nil, fmt.Errorf("%w: > %d downsets", ErrSearchExplosion, p.opts.DownsetLimit)
+	if n := CountDownsets(p.g, downsetLimit); n > downsetLimit {
+		return nil, planner.Stats{}, fmt.Errorf("%w: > %d downsets", ErrSearchExplosion, downsetLimit)
 	}
 	deadline := time.Now().Add(p.opts.Timeout)
 	maxDepth := p.topo.Len()
@@ -386,7 +352,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		for depth := 1; depth <= maxDepth; depth++ {
 			e, err := s.dp(all, p.topo.Len(), depth, evals)
 			if err != nil {
-				return nil, fmt.Errorf("%w (budget %d)", ErrSearchExplosion, p.opts.StateBudget)
+				return nil, planner.Stats{}, fmt.Errorf("%w (budget %d)", ErrSearchExplosion, p.opts.StateBudget)
 			}
 			if !e.ok {
 				continue
@@ -401,60 +367,34 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		states += s.states
 		budget -= s.states
 		if budget <= 0 {
-			return nil, fmt.Errorf("%w (budget %d)", ErrSearchExplosion, p.opts.StateBudget)
+			return nil, planner.Stats{}, fmt.Errorf("%w (budget %d)", ErrSearchExplosion, p.opts.StateBudget)
 		}
 	}
 	if best == nil {
-		return nil, ErrNoStrategy
+		return nil, planner.Stats{}, ErrNoStrategy
 	}
 	st, err := p.assemble(best.s, best.depth, miniBatch)
 	if err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
-	return &Result{Strategy: st, BottleneckTPS: best.entry.bottleneck, DPStates: states}, nil
+	return st, planner.Stats{BottleneckTPS: best.entry.bottleneck, DPStates: states}, nil
 }
 
 // assemble reconstructs the stage chain from the memo.
 func (p *Planner) assemble(s *searchState, depth, miniBatch int) (*strategy.Strategy, error) {
-	st := &strategy.Strategy{Planner: "piper", MiniBatch: miniBatch}
 	upset := p.g.AllNodes()
 	d := p.topo.Len()
-	var order []strategy.StageID
-	var counts []int
+	var ops []graph.NodeSet
+	var devices []int
 	for k := depth; k >= 1; k-- {
 		e, ok := s.memo[stateKey{upset: upset.Key(), d: d, depth: k}]
 		if !ok || !e.ok {
 			return nil, fmt.Errorf("piper: reconstruction failed at depth %d", k)
 		}
-		id := strategy.StageID(len(st.Stages))
-		cfg := schedule.Config{MicroBatch: s.b, K: 1}
-		inFlight := k * s.b
-		tasks, err := schedule.BuildTasks(cfg, miniBatch, inFlight)
-		if err != nil {
-			return nil, err
-		}
-		st.Stages = append(st.Stages, strategy.Stage{
-			ID: id, Ops: e.stage, Config: cfg,
-			InFlightSamples: inFlight, Tasks: tasks,
-		})
-		counts = append(counts, e.d1)
-		order = append(order, id)
+		ops = append(ops, e.stage)
+		devices = append(devices, e.d1)
 		upset = upset.Minus(e.stage)
 		d -= e.d1
 	}
-	groups, err := cluster.PlaceStages(p.topo, counts)
-	if err != nil {
-		return nil, err
-	}
-	for gi := range st.Stages {
-		st.Stages[gi].Devices = groups[gi]
-	}
-	if err := st.BuildEdges(p.g); err != nil {
-		return nil, err
-	}
-	st.AddSequentialEdges(order)
-	if err := st.Validate(p.g, p.topo); err != nil {
-		return nil, fmt.Errorf("piper: assembled strategy invalid: %w", err)
-	}
-	return st, nil
+	return strategy.SequentialChain(p.g, p.topo, "piper", miniBatch, s.b, ops, devices)
 }

@@ -7,6 +7,7 @@ import (
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/sim"
 )
 
@@ -14,19 +15,19 @@ func TestPlanChainValid(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(32)
+	st, _, err := NewPlanner(g, m, planner.Options{}).Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatalf("invalid strategy: %v", err)
 	}
-	if r.Strategy.Planner != "piper" {
-		t.Errorf("planner tag = %q", r.Strategy.Planner)
+	if st.Planner != "piper" {
+		t.Errorf("planner tag = %q", st.Planner)
 	}
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
+	if st.Depth() != st.NumStages() {
 		t.Errorf("Piper strategies are sequential: depth %d stages %d",
-			r.Strategy.Depth(), r.Strategy.NumStages())
+			st.Depth(), st.NumStages())
 	}
 }
 
@@ -37,15 +38,15 @@ func TestTwoBranchModelSolvable(t *testing.T) {
 	g := models.MMT(cfg)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(16)
+	st, _, err := NewPlanner(g, m, planner.Options{}).Plan(16)
 	if err != nil {
 		t.Fatalf("Piper should handle 2 branches: %v", err)
 	}
-	if err := r.Strategy.Validate(g, topo); err != nil {
+	if err := st.Validate(g, topo); err != nil {
 		t.Fatal(err)
 	}
 	// Piper's stages may span branches but the pipeline stays sequential.
-	if r.Strategy.Depth() != r.Strategy.NumStages() {
+	if st.Depth() != st.NumStages() {
 		t.Error("Piper produced a non-sequential pipeline")
 	}
 }
@@ -57,7 +58,7 @@ func TestManyBranchesExplode(t *testing.T) {
 	g := models.CANDLEUno(cfg)
 	topo := cluster.NewSummitTopology(8)
 	m := costmodel.NewDefault(topo)
-	_, err := NewPlanner(g, m, Options{StateBudget: 50_000}).Plan(64)
+	_, _, err := NewPlanner(g, m, planner.Options{StateBudget: 50_000}).Plan(64)
 	if !errors.Is(err, ErrSearchExplosion) {
 		t.Fatalf("want ErrSearchExplosion, got %v", err)
 	}
@@ -67,7 +68,7 @@ func TestDLRMExplodes(t *testing.T) {
 	g := models.DLRM(models.DefaultDLRMConfig()) // 14 branches
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	_, err := NewPlanner(g, m, Options{StateBudget: 50_000}).Plan(64)
+	_, _, err := NewPlanner(g, m, planner.Options{StateBudget: 50_000}).Plan(64)
 	if !errors.Is(err, ErrSearchExplosion) {
 		t.Fatalf("want ErrSearchExplosion, got %v", err)
 	}
@@ -77,17 +78,17 @@ func TestForcedAndInvalidInputs(t *testing.T) {
 	g := models.SequentialTransformer(6)
 	topo := cluster.NewSummitTopology(2)
 	m := costmodel.NewDefault(topo)
-	if _, err := NewPlanner(g, m, Options{}).Plan(0); err == nil {
+	if _, _, err := NewPlanner(g, m, planner.Options{}).Plan(0); err == nil {
 		t.Error("accepted zero mini-batch")
 	}
-	if _, err := NewPlanner(g, m, Options{ForcedMicroBatch: 5}).Plan(32); err == nil {
+	if _, _, err := NewPlanner(g, m, planner.Options{ForcedMicroBatch: 5}).Plan(32); err == nil {
 		t.Error("accepted non-dividing forced micro-batch")
 	}
-	r, err := NewPlanner(g, m, Options{ForcedMicroBatch: 4}).Plan(32)
+	st, _, err := NewPlanner(g, m, planner.Options{ForcedMicroBatch: 4}).Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range r.Strategy.Stages {
+	for _, st := range st.Stages {
 		if st.Config.MicroBatch != 4 {
 			t.Errorf("micro-batch = %d", st.Config.MicroBatch)
 		}
@@ -97,7 +98,7 @@ func TestForcedAndInvalidInputs(t *testing.T) {
 func TestInfeasibleMemory(t *testing.T) {
 	g := models.SequentialTransformer(6)
 	topo := cluster.NewUniformTopology(2, 1e6, 100e9)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}).Plan(16); err == nil {
+	if _, _, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{}).Plan(16); err == nil {
 		t.Error("planned into 1MB devices")
 	}
 }
@@ -106,11 +107,11 @@ func TestStrategySimulates(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	r, err := NewPlanner(g, m, Options{}).Plan(16)
+	st, _, err := NewPlanner(g, m, planner.Options{}).Plan(16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.New(g, m).Run(r.Strategy)
+	res, err := sim.New(g, m).Run(st)
 	if err != nil {
 		t.Fatalf("simulation failed: %v", err)
 	}

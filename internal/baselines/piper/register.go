@@ -14,19 +14,7 @@ type registered struct{}
 func (registered) Name() string { return "piper" }
 
 func (registered) Plan(g *graph.Graph, topo *cluster.Topology, miniBatch int, opts planner.Options) (*strategy.Strategy, planner.Stats, error) {
-	r, err := NewPlanner(g, opts.Model(topo), Options{
-		ForcedMicroBatch: opts.ForcedMicroBatch,
-		MaxMicroBatch:    opts.MaxMicroBatch,
-		StateBudget:      opts.StateBudget,
-		Timeout:          opts.Timeout,
-	}).Plan(miniBatch)
-	if err != nil {
-		return nil, planner.Stats{}, err
-	}
-	return r.Strategy, planner.Stats{
-		BottleneckTPS: r.BottleneckTPS,
-		DPStates:      r.DPStates,
-	}, nil
+	return NewPlanner(g, opts.Model(topo), opts).Plan(miniBatch)
 }
 
 func init() { planner.Register(registered{}) }

@@ -9,6 +9,7 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
 
@@ -51,14 +52,14 @@ func reuseCases() []reuseCase {
 // planArtifact plans g and renders the result as a serialized artifact with
 // provenance stripped of search statistics, so two planning paths that find
 // the same strategy produce byte-identical artifacts.
-func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts Options) ([]byte, *Result) {
+func planArtifact(t *testing.T, g *graph.Graph, c reuseCase, opts planner.Options) ([]byte, *result) {
 	t.Helper()
 	topo := cluster.NewSummitTopology(c.devices)
 	p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
 	if err != nil {
 		t.Fatalf("%s/%d: NewPlanner: %v", c.name, c.devices, err)
 	}
-	r, err := p.Plan(c.miniBatch)
+	r, err := plan(p, c.miniBatch)
 	if err != nil {
 		t.Fatalf("%s/%d: Plan: %v", c.name, c.devices, err)
 	}
@@ -88,8 +89,8 @@ func TestCrossProbeReuseEquivalence(t *testing.T) {
 				t.Skip("32-device cells skipped in -short mode")
 			}
 			g := c.build()
-			refArt, ref := planArtifact(t, g, c, Options{Workers: 1, FreshProbeMemo: true})
-			optArt, opt := planArtifact(t, g, c, Options{Workers: 1})
+			refArt, ref := planArtifact(t, g, c, planner.Options{Workers: 1, FreshProbeMemo: true})
+			optArt, opt := planArtifact(t, g, c, planner.Options{Workers: 1})
 			if !bytes.Equal(refArt, optArt) {
 				t.Errorf("artifacts differ between fresh-memo reference and cross-probe reuse:\nref:\n%s\nopt:\n%s",
 					refArt, optArt)

@@ -93,7 +93,7 @@ type memoEntry struct {
 type memoTable struct {
 	locked bool
 	// warmHits counts imported entries whose interval covered a probe
-	// target at least once (Result.MemoEntriesReused).
+	// target at least once (planner.Stats.MemoEntriesReused).
 	warmHits atomic.Int64
 	// fallback, when set by importMemo, resolves a (key, target) miss from
 	// the imported snapshot: it returns a covering entry to materialize

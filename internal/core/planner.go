@@ -34,12 +34,12 @@
 //
 // The search is parallel: the independent per-micro-batch binary searches
 // and, within each TPS probe, the root zone's series/parallel branch
-// enumeration fan out across one bounded worker pool (Options.Workers),
-// sharing a mutex-sharded memo table. Every DP value is a pure function of
+// enumeration fan out across one bounded worker pool
+// (planner.Options.Workers), sharing a mutex-sharded memo table. Every DP value is a pure function of
 // its state key and validity interval, so the parallel search returns the
 // same strategy as the sequential path (Workers=1), and the probe-spanning
 // memo returns the same strategy as a fresh memo per probe
-// (Options.FreshProbeMemo) — both pinned by test.
+// (planner.Options.FreshProbeMemo) — both pinned by test.
 package core
 
 import (
@@ -55,118 +55,26 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
 	"graphpipe/internal/spgraph"
 	"graphpipe/internal/strategy"
 )
 
-// Options tunes the planner. The zero value selects the paper's defaults
-// (§6): synchronous 1F1B and a single micro-batch size shared by all
-// stages, searched over powers of two.
-type Options struct {
-	// MicroBatchCandidates overrides the candidate micro-batch sizes.
-	// Empty means powers of two dividing the mini-batch size, capped at
-	// MaxMicroBatch.
-	MicroBatchCandidates []int
-	// MaxMicroBatch caps the candidate micro-batch sizes (default 4096).
-	MaxMicroBatch int
-	// KCandidates are the kFkB candidates (default {1}: 1F1B).
-	KCandidates []int
-	// ForcedMicroBatch restricts the search to exactly one micro-batch
-	// size. Used by the fixed-µB sweep (Figure 7 right) and the "Parallel"
-	// ablation arm (Figure 9).
-	ForcedMicroBatch int
-	// PerStageMicroBatch enables the fine-grained per-stage micro-batch
-	// search of §6 (Figure 5): stage boundaries may change the micro-batch
-	// size instead of inheriting the global one. Off by default, as in the
-	// paper ("performance improvements ... are incremental" for the
-	// evaluated models), and more expensive to search.
-	PerStageMicroBatch bool
-	// DisableSinkAnchoredSplits removes the partitions where a stage
-	// combines a branch tail with the merge operators (§7.5's "one stage
-	// necessarily contains the concatenation operator"). Exists for the
-	// ablation benchmarks only.
-	DisableSinkAnchoredSplits bool
-	// PlacementOblivious restores the pre-placement planner: stages are
-	// costed against device 0 and the two-tier bandwidth heuristics instead
-	// of the contiguous device block each stage actually lands on, and the
-	// DP key carries no placement dimension. On a flat uniform topology the
-	// placement-aware path produces byte-identical strategies (pinned by
-	// conformance invariant (g)); the flag exists for that pin and for
-	// A/B-ing the placement machinery.
-	PlacementOblivious bool
-	// Epsilon is the relative binary-search tolerance (default 2e-3).
-	Epsilon float64
-	// Workers bounds the planning worker pool shared by the
-	// per-micro-batch binary searches and the per-probe root branch
-	// enumeration: 0 means one worker per available CPU, 1 forces the
-	// fully sequential path. The chosen strategy is identical either way.
-	Workers int
-	// FreshProbeMemo restores the reference search: a fresh DP memo for
-	// every binary-search probe instead of the probe-spanning memo with
-	// monotone validity intervals. The chosen strategy is identical either
-	// way (pinned by TestCrossProbeReuseEquivalence); the flag exists for
-	// that test and for benchmarking the reuse itself. It also disables
-	// warm-starting (WarmMemo/MemoSink): the reference path plans cold.
-	FreshProbeMemo bool
-	// WarmMemo, when set, is consulted once per Plan call with the
-	// snapshot key of this (graph, options, topology/cost-model)
-	// combination. A returned snapshot warm-starts the search: each
-	// per-micro-batch search whose SearchMemo passes the compatibility
-	// checks imports the prior entries, and the validity-interval
-	// machinery invalidates exactly the entries whose [lo, hi) the new
-	// probes miss. An incompatible, corrupt, or absent snapshot degrades
-	// to a cold plan — never an error.
-	WarmMemo func(memosnap.Key) *memosnap.Snapshot
-	// MemoSink, when set, receives the completed search's exported memo
-	// snapshot after a successful Plan, for persistence across requests.
-	MemoSink func(*memosnap.Snapshot)
-	// Span, when set, records one timed span per planning phase: each
-	// per-size micro-batch search, each DP probe inside its binary
-	// search, and the memo snapshot import/export. Call at phase start,
-	// invoke the returned func at end. Spans start from concurrent pool
-	// workers, so implementations must be safe for concurrent use. nil
-	// disables phase recording with no other behavior change.
-	Span func(name string, kv ...string) func()
-}
+// kCandidates are the kFkB schedules the search enumerates: {1}, the
+// synchronous 1F1B of §6. The DP is written for any candidate list.
+var kCandidates = []int{1}
 
-// span records one planning phase through Options.Span, degrading to a
-// no-op when no recorder is wired.
+// epsilon is the relative binary-search tolerance on the bottleneck TPS.
+const epsilon = 2e-3
+
+// span records one planning phase through planner.Options.Span, degrading
+// to a no-op when no recorder is wired.
 func (p *Planner) span(name string, kv ...string) func() {
 	if p.opts.Span == nil {
 		return func() {}
 	}
 	return p.opts.Span(name, kv...)
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxMicroBatch == 0 {
-		o.MaxMicroBatch = 4096
-	}
-	if len(o.KCandidates) == 0 {
-		o.KCandidates = []int{1}
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 2e-3
-	}
-	return o
-}
-
-// Result is a planning outcome with search statistics.
-type Result struct {
-	Strategy *strategy.Strategy
-	// BottleneckTPS is the achieved max-stage TPS (Equation 1 objective).
-	BottleneckTPS float64
-	// DPStates counts memoized subproblems across the whole search.
-	DPStates int
-	// BinaryIters counts binary-search iterations.
-	BinaryIters int
-	// MemoWarmStarted reports that at least one per-micro-batch search
-	// imported a compatible prior memo snapshot (Options.WarmMemo).
-	MemoWarmStarted bool
-	// MemoEntriesReused counts imported memo entries whose validity
-	// interval covered a probe target, each counted at most once.
-	MemoEntriesReused int
 }
 
 // ErrNoStrategy is returned when no valid strategy exists within the device
@@ -179,13 +87,13 @@ type Planner struct {
 	model costmodel.Model
 	topo  *cluster.Topology
 	dec   *spgraph.Decomposer
-	opts  Options
+	opts  planner.Options
 
 	zones *zoneTable
 
 	// places interns the cost-equivalence classes of contiguous device
 	// blocks; the class of a stage's block is the placement dimension of
-	// the DP key. nil when Options.PlacementOblivious.
+	// the DP key. nil when planner.Options.PlacementOblivious.
 	places *cluster.PlacementTable
 
 	// evalCaches memoizes per-(zone, micro-batch, devices) stage costs,
@@ -289,22 +197,26 @@ func (zt *zoneTable) parallelSplits(id int) []splitIDs {
 }
 
 // resolveAll resolves every zone reachable from root so the table becomes
-// read-only and safe for the concurrent per-micro-batch searches.
+// read-only and safe for the concurrent per-micro-batch searches. It stops
+// once the table outgrows the DP key's zone field, which validateKeyRanges
+// then reports: a graph past the limit could otherwise intern millions of
+// zones (a chain of n operators has n(n+1)/2) before the check ran.
 func (zt *zoneTable) resolveAll(root int) {
-	for next := root; next < len(zt.sets); next++ {
+	for next := root; next < len(zt.sets) && len(zt.sets) <= maxZoneID+1; next++ {
 		zt.resolve(next)
 	}
 }
 
 // NewPlanner constructs a planner. The graph must have a single source and
-// sink (spgraph.Validate).
-func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) (*Planner, error) {
+// sink (spgraph.Validate). Of opts it reads the micro-batch knobs, Workers,
+// the graphpipe-only search switches, the memo hooks and Span; the cost
+// model is the one passed here.
+func NewPlanner(g *graph.Graph, model costmodel.Model, opts planner.Options) (*Planner, error) {
 	if err := spgraph.Validate(g); err != nil {
 		return nil, err
 	}
 	dec := spgraph.New(g)
 	zt := newZoneTable(dec)
-	opts = opts.withDefaults()
 	zt.noAnchored = opts.DisableSinkAnchoredSplits
 	p := &Planner{
 		g:     g,
@@ -318,35 +230,6 @@ func NewPlanner(g *graph.Graph, model costmodel.Model, opts Options) (*Planner, 
 		p.places = cluster.NewPlacementTable(p.topo)
 	}
 	return p, nil
-}
-
-// microBatchCandidates returns the candidate micro-batch sizes for
-// mini-batch B, largest first so ties in the DP prefer compute efficiency.
-func (p *Planner) microBatchCandidates(miniBatch int) []int {
-	if p.opts.ForcedMicroBatch > 0 {
-		if miniBatch%p.opts.ForcedMicroBatch != 0 {
-			return nil
-		}
-		return []int{p.opts.ForcedMicroBatch}
-	}
-	if len(p.opts.MicroBatchCandidates) > 0 {
-		var out []int
-		for _, b := range p.opts.MicroBatchCandidates {
-			if b >= 1 && miniBatch%b == 0 {
-				out = append(out, b)
-			}
-		}
-		sort.Sort(sort.Reverse(sort.IntSlice(out)))
-		return out
-	}
-	var out []int
-	for b := 1; b <= miniBatch && b <= p.opts.MaxMicroBatch; b *= 2 {
-		if miniBatch%b == 0 {
-			out = append(out, b)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // allowedDegree reports whether d is a permitted per-stage data-parallel
@@ -546,7 +429,7 @@ type search struct {
 
 // freezeConfigs pre-interns every schedule config the search can reach, in
 // a deterministic order. In the uniform-schedule default every boundary
-// inherits the probe's root micro-batch size, so only (rootB × KCandidates)
+// inherits the probe's root micro-batch size, so only (rootB × kCandidates)
 // is reachable; per-stage mode offers the full cross product, exactly as
 // the old lazy interner would have reached.
 func (s *search) freezeConfigs(rootB int) {
@@ -561,12 +444,12 @@ func (s *search) freezeConfigs(rootB int) {
 		}
 		s.cfgs = append(s.cfgs, c)
 	}
-	for _, k := range s.p.opts.KCandidates {
+	for _, k := range kCandidates {
 		intern(schedule.Config{MicroBatch: rootB, K: k})
 	}
 	if s.p.opts.PerStageMicroBatch {
 		for _, b := range s.bCands {
-			for _, k := range s.p.opts.KCandidates {
+			for _, k := range kCandidates {
 				intern(schedule.Config{MicroBatch: b, K: k})
 			}
 		}
@@ -578,12 +461,12 @@ func (s *search) freezeConfigs(rootB int) {
 	// so it is built once here instead of per series split.
 	if s.p.opts.PerStageMicroBatch {
 		for _, b := range s.bCands {
-			for _, k := range s.p.opts.KCandidates {
+			for _, k := range kCandidates {
 				s.boundary = append(s.boundary, schedule.Config{MicroBatch: b, K: k})
 			}
 		}
 	} else {
-		for _, k := range s.p.opts.KCandidates {
+		for _, k := range kCandidates {
 			s.boundary = append(s.boundary, schedule.Config{MicroBatch: rootB, K: k})
 		}
 	}
@@ -653,9 +536,9 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 		return fmt.Errorf("core: %d placement classes exceed the DP key's %d-class limit",
 			p.places.NumClasses(), maxPlaceClass+1)
 	}
-	nCfg := len(p.opts.KCandidates)
+	nCfg := len(kCandidates)
 	if p.opts.PerStageMicroBatch {
-		nCfg += len(bCands) * len(p.opts.KCandidates)
+		nCfg += len(bCands) * len(kCandidates)
 	}
 	// freezeConfigs interns at most maxCfgIdx configs (one 6-bit index is
 	// reserved headroom for its own invariant panic).
@@ -663,7 +546,7 @@ func (p *Planner) validateKeyRanges(bCands []int) error {
 		return fmt.Errorf("core: %d schedule configs exceed the DP key's %d-config limit", nCfg, maxCfgIdx)
 	}
 	maxK, maxB := 1, 1
-	for _, k := range p.opts.KCandidates {
+	for _, k := range kCandidates {
 		if k > maxK {
 			maxK = k
 		}
@@ -1030,7 +913,7 @@ func (s *search) dpRoot(zoneID int, cf schedule.Config, cb *schedule.Successor, 
 // global schedule configuration and keep the best feasible partition.
 func (s *search) searchStageGraph(root, b int) *dpResult {
 	var best *dpResult
-	for _, k := range s.p.opts.KCandidates {
+	for _, k := range kCandidates {
 		cf := schedule.Config{MicroBatch: b, K: k}
 		r := s.dpRoot(root, cf, nil, s.p.topo.Len())
 		best = s.betterRoot(best, r)
@@ -1166,13 +1049,13 @@ func (p *Planner) searchMicroBatch(out *perB, b, miniBatch int, bCands []int, ma
 // intervals, so later probes re-solve only the states their target
 // invalidates), then assembles, schedules, and validates the winning
 // strategy.
-func (p *Planner) Plan(miniBatch int) (*Result, error) {
+func (p *Planner) Plan(miniBatch int) (*strategy.Strategy, planner.Stats, error) {
 	if miniBatch <= 0 {
-		return nil, fmt.Errorf("core: invalid mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("core: invalid mini-batch %d", miniBatch)
 	}
-	bCands := p.microBatchCandidates(miniBatch)
+	bCands := p.opts.MicroBatchCandidates(miniBatch)
 	if len(bCands) == 0 {
-		return nil, fmt.Errorf("core: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
+		return nil, planner.Stats{}, fmt.Errorf("core: no candidate micro-batch sizes divide mini-batch %d", miniBatch)
 	}
 	workers := p.opts.Workers
 	if workers <= 0 {
@@ -1191,11 +1074,11 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 	p.zones.resolveAll(root) // make the zone table read-only
 
 	if err := p.validateKeyRanges(bCands); err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
 
 	maxTPS := p.model.MaxTPS(p.g, miniBatch)
-	eps := p.opts.Epsilon * maxTPS
+	eps := epsilon * maxTPS
 
 	// Warm start: resolve this planning question's snapshot key and ask
 	// the provider for a prior memo. The key binds graph, structural
@@ -1254,25 +1137,24 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		}
 	}
 	if best == nil {
-		return nil, ErrNoStrategy
+		return nil, planner.Stats{}, ErrNoStrategy
 	}
 
 	st, err := p.assemble(best, miniBatch)
 	if err != nil {
-		return nil, err
+		return nil, planner.Stats{}, err
 	}
-	res := &Result{
-		Strategy:      st,
+	stats := planner.Stats{
 		BottleneckTPS: best.maxTPS,
 		DPStates:      states,
 		BinaryIters:   iters,
 	}
 	for i := range results {
 		if results[i].warmed {
-			res.MemoWarmStarted = true
+			stats.MemoWarmStarted = true
 		}
 		if s := results[i].search; s != nil {
-			res.MemoEntriesReused += int(s.memo.warmHits.Load())
+			stats.MemoEntriesReused += int(s.memo.warmHits.Load())
 		}
 	}
 	if p.opts.MemoSink != nil && !p.opts.FreshProbeMemo {
@@ -1281,7 +1163,7 @@ func (p *Planner) Plan(miniBatch int) (*Result, error) {
 		endExport()
 		p.opts.MemoSink(snapOut)
 	}
-	return res, nil
+	return st, stats, nil
 }
 
 // devCount returns the total device count of the derivation subtree.

@@ -1,17 +1,33 @@
 package core
 
 import (
-	"graphpipe/internal/sim"
 	"testing"
 
 	"graphpipe/internal/cluster"
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
+	"graphpipe/internal/sim"
+	"graphpipe/internal/strategy"
 )
 
-func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts Options) *Result {
+// result bundles one Plan call's strategy and search statistics.
+type result struct {
+	Strategy *strategy.Strategy
+	planner.Stats
+}
+
+func plan(p *Planner, miniBatch int) (*result, error) {
+	st, stats, err := p.Plan(miniBatch)
+	if err != nil {
+		return nil, err
+	}
+	return &result{Strategy: st, Stats: stats}, nil
+}
+
+func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts planner.Options) *result {
 	t.Helper()
 	topo := cluster.NewSummitTopology(devices)
 	m := costmodel.NewDefault(topo)
@@ -19,7 +35,7 @@ func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts Options)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(miniBatch)
+	r, err := plan(p, miniBatch)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -28,7 +44,7 @@ func planFor(t testing.TB, g *graph.Graph, devices, miniBatch int, opts Options)
 
 func TestPlanSequentialChain(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	r := planFor(t, g, 4, 32, Options{})
+	r := planFor(t, g, 4, 32, planner.Options{})
 	topo := cluster.NewSummitTopology(4)
 	if err := r.Strategy.Validate(g, topo); err != nil {
 		t.Fatalf("strategy invalid: %v", err)
@@ -53,7 +69,7 @@ func TestPlanExploitsBranches(t *testing.T) {
 	cfg.Branches = 2
 	cfg.LayersPerBranch = 4
 	g := models.MMT(cfg)
-	r := planFor(t, g, 8, 32, Options{})
+	r := planFor(t, g, 8, 32, planner.Options{})
 	topo := cluster.NewSummitTopology(8)
 	if err := r.Strategy.Validate(g, topo); err != nil {
 		t.Fatalf("strategy invalid: %v", err)
@@ -69,7 +85,7 @@ func TestPlanExploitsBranches(t *testing.T) {
 func TestPlanUsesAllDevices(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	for _, devs := range []int{2, 4, 8} {
-		r := planFor(t, g, devs, 32, Options{})
+		r := planFor(t, g, devs, 32, planner.Options{})
 		used := 0
 		for _, st := range r.Strategy.Stages {
 			used += len(st.Devices)
@@ -82,7 +98,7 @@ func TestPlanUsesAllDevices(t *testing.T) {
 
 func TestForcedMicroBatch(t *testing.T) {
 	g := models.SequentialTransformer(8)
-	r := planFor(t, g, 4, 32, Options{ForcedMicroBatch: 2})
+	r := planFor(t, g, 4, 32, planner.Options{ForcedMicroBatch: 2})
 	for _, st := range r.Strategy.Stages {
 		if st.Config.MicroBatch != 2 {
 			t.Errorf("stage %d micro-batch = %d, want forced 2", st.ID, st.Config.MicroBatch)
@@ -94,11 +110,11 @@ func TestForcedMicroBatchMustDivide(t *testing.T) {
 	g := models.SequentialTransformer(4)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{ForcedMicroBatch: 7})
+	p, err := NewPlanner(g, m, planner.Options{ForcedMicroBatch: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Plan(32); err == nil {
+	if _, _, err := p.Plan(32); err == nil {
 		t.Error("accepted non-dividing forced micro-batch")
 	}
 }
@@ -112,7 +128,7 @@ func TestPlanRejectsMultiSinkGraph(t *testing.T) {
 	b.Connect(x, z)
 	g := b.MustBuild()
 	topo := cluster.NewSummitTopology(2)
-	if _, err := NewPlanner(g, costmodel.NewDefault(topo), Options{}); err == nil {
+	if _, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{}); err == nil {
 		t.Error("planner accepted multi-sink graph")
 	}
 }
@@ -120,8 +136,8 @@ func TestPlanRejectsMultiSinkGraph(t *testing.T) {
 func TestPlanInvalidMiniBatch(t *testing.T) {
 	g := models.SequentialTransformer(4)
 	topo := cluster.NewSummitTopology(2)
-	p, _ := NewPlanner(g, costmodel.NewDefault(topo), Options{})
-	if _, err := p.Plan(0); err == nil {
+	p, _ := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{})
+	if _, _, err := p.Plan(0); err == nil {
 		t.Error("accepted zero mini-batch")
 	}
 }
@@ -130,11 +146,11 @@ func TestPlanInfeasibleMemory(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	// 1 MB per device: nothing fits.
 	topo := cluster.NewUniformTopology(4, 1e6, 100e9)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{})
+	p, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Plan(32); err == nil {
+	if _, _, err := p.Plan(32); err == nil {
 		t.Error("planned a strategy that cannot fit memory")
 	}
 }
@@ -144,7 +160,7 @@ func TestPlanInFlightMatchesBackwardTraversal(t *testing.T) {
 	cfg.Branches = 2
 	cfg.LayersPerBranch = 4
 	g := models.MMT(cfg)
-	r := planFor(t, g, 8, 32, Options{})
+	r := planFor(t, g, 8, 32, planner.Options{})
 	s := r.Strategy
 	// Recompute independently and compare.
 	order := s.TopoOrder()
@@ -166,8 +182,8 @@ func TestPlanInFlightMatchesBackwardTraversal(t *testing.T) {
 
 func TestDeeperPipelineNeedsMoreInFlight(t *testing.T) {
 	g := models.SequentialTransformer(16)
-	r2 := planFor(t, g, 2, 64, Options{ForcedMicroBatch: 4})
-	r8 := planFor(t, g, 8, 64, Options{ForcedMicroBatch: 4})
+	r2 := planFor(t, g, 2, 64, planner.Options{ForcedMicroBatch: 4})
+	r8 := planFor(t, g, 8, 64, planner.Options{ForcedMicroBatch: 4})
 	if r8.Strategy.NumStages() <= r2.Strategy.NumStages() {
 		t.Skipf("planner did not deepen pipeline: %d vs %d stages",
 			r8.Strategy.NumStages(), r2.Strategy.NumStages())
@@ -182,22 +198,12 @@ func TestBottleneckTPSDecreasesWithDevices(t *testing.T) {
 	g := models.SequentialTransformer(16)
 	prev := -1.0
 	for _, devs := range []int{2, 4, 8} {
-		r := planFor(t, g, devs, 64, Options{})
+		r := planFor(t, g, devs, 64, planner.Options{})
 		if prev > 0 && r.BottleneckTPS > prev*1.05 {
 			t.Errorf("devices=%d: bottleneck TPS %g worse than with fewer devices %g",
 				devs, r.BottleneckTPS, prev)
 		}
 		prev = r.BottleneckTPS
-	}
-}
-
-func TestMicroBatchCandidatesOption(t *testing.T) {
-	g := models.SequentialTransformer(4)
-	r := planFor(t, g, 2, 32, Options{MicroBatchCandidates: []int{4, 8, 3}})
-	for _, st := range r.Strategy.Stages {
-		if b := st.Config.MicroBatch; b != 4 && b != 8 {
-			t.Errorf("micro-batch %d not among valid candidates", b)
-		}
 	}
 }
 
@@ -220,11 +226,11 @@ func TestPerStageMicroBatchSearch(t *testing.T) {
 
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{PerStageMicroBatch: true})
+	p, err := NewPlanner(g, m, planner.Options{PerStageMicroBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(64)
+	r, err := plan(p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +253,11 @@ func TestPerStageMicroBatchAtLeastAsGoodOnFig5Shape(t *testing.T) {
 	m := costmodel.NewDefault(topo)
 	sm := sim.New(g, m)
 
-	uni, err := NewPlanner(g, m, Options{})
+	uni, err := NewPlanner(g, m, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ru, err := uni.Plan(32)
+	ru, err := plan(uni, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,11 +266,11 @@ func TestPerStageMicroBatchAtLeastAsGoodOnFig5Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	per, err := NewPlanner(g, m, Options{PerStageMicroBatch: true})
+	per, err := NewPlanner(g, m, planner.Options{PerStageMicroBatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := per.Plan(32)
+	rp, err := plan(per, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,11 +311,11 @@ func TestPlanHandlesNonSPGraph(t *testing.T) {
 
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := NewPlanner(g, m, Options{})
+	p, err := NewPlanner(g, m, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(32)
+	r, err := plan(p, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,12 +347,12 @@ func TestPlannerZooIntegration(t *testing.T) {
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
 	for _, g := range graphs {
-		p, err := NewPlanner(g, m, Options{})
+		p, err := NewPlanner(g, m, planner.Options{})
 		if err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 			continue
 		}
-		r, err := p.Plan(32)
+		r, err := plan(p, 32)
 		if err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
 			continue

@@ -14,32 +14,11 @@ type registered struct{}
 func (registered) Name() string { return "graphpipe" }
 
 func (registered) Plan(g *graph.Graph, topo *cluster.Topology, miniBatch int, opts planner.Options) (*strategy.Strategy, planner.Stats, error) {
-	p, err := NewPlanner(g, opts.Model(topo), Options{
-		ForcedMicroBatch:          opts.ForcedMicroBatch,
-		MaxMicroBatch:             opts.MaxMicroBatch,
-		Workers:                   opts.Workers,
-		PerStageMicroBatch:        opts.PerStageMicroBatch,
-		DisableSinkAnchoredSplits: opts.DisableSinkAnchoredSplits,
-		FreshProbeMemo:            opts.FreshProbeMemo,
-		PlacementOblivious:        opts.PlacementOblivious,
-		WarmMemo:                  opts.WarmMemo,
-		MemoSink:                  opts.MemoSink,
-		Span:                      opts.Span,
-	})
+	p, err := NewPlanner(g, opts.Model(topo), opts)
 	if err != nil {
 		return nil, planner.Stats{}, err
 	}
-	r, err := p.Plan(miniBatch)
-	if err != nil {
-		return nil, planner.Stats{}, err
-	}
-	return r.Strategy, planner.Stats{
-		BottleneckTPS:     r.BottleneckTPS,
-		DPStates:          r.DPStates,
-		BinaryIters:       r.BinaryIters,
-		MemoWarmStarted:   r.MemoWarmStarted,
-		MemoEntriesReused: r.MemoEntriesReused,
-	}, nil
+	return p.Plan(miniBatch)
 }
 
 func init() { planner.Register(registered{}) }

@@ -41,14 +41,16 @@ func (p *Planner) snapshotKey() memosnap.Key {
 }
 
 // shapeSig hashes the options that change which DP states exist or how
-// keys pack: candidate sets and split rules. Epsilon and Workers are
+// keys pack: candidate sets and split rules. The tolerance and Workers are
 // deliberately excluded — the validity intervals make entries correct for
 // any target, and the worker count never changes a value (both pinned by
-// the determinism conformance invariant).
+// the determinism conformance invariant). "mbc=[]" renders a retired
+// explicit candidate list that no program ever set; it stays so the keys
+// of snapshots already persisted keep matching.
 func (p *Planner) shapeSig() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "shape2\nmbc=%v\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\noblivious=%t\n",
-		p.opts.MicroBatchCandidates, p.opts.MaxMicroBatch, p.opts.KCandidates,
+	fmt.Fprintf(h, "shape2\nmbc=[]\nmaxmb=%d\nk=%v\nforced=%d\nperstage=%t\nnoanchor=%t\noblivious=%t\n",
+		p.opts.MicroBatchCap(), kCandidates,
 		p.opts.ForcedMicroBatch, p.opts.PerStageMicroBatch, p.opts.DisableSinkAnchoredSplits,
 		p.opts.PlacementOblivious)
 	return h.Sum64()

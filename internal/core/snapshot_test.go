@@ -9,6 +9,7 @@ import (
 	"graphpipe/internal/graph"
 	"graphpipe/internal/memosnap"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 )
 
@@ -28,18 +29,18 @@ func planBytes(t *testing.T, st *strategy.Strategy, devices, mb int) []byte {
 }
 
 // coldSnapshot plans cold with a sink attached and returns both.
-func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (*Result, *memosnap.Snapshot) {
+func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (*result, *memosnap.Snapshot) {
 	t.Helper()
 	var snap *memosnap.Snapshot
 	topo := cluster.NewSummitTopology(devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	p, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{
 		Workers:  1,
 		MemoSink: func(s *memosnap.Snapshot) { snap = s },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(mb)
+	r, err := plan(p, mb)
 	if err != nil {
 		t.Fatalf("cold plan: %v", err)
 	}
@@ -49,17 +50,17 @@ func coldSnapshot(t *testing.T, g *graph.Graph, devices, mb int) (*Result, *memo
 	return r, snap
 }
 
-func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snapshot) *Result {
+func warmPlan(t *testing.T, g *graph.Graph, devices, mb int, snap *memosnap.Snapshot) *result {
 	t.Helper()
 	topo := cluster.NewSummitTopology(devices)
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	p, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{
 		Workers:  1,
 		WarmMemo: func(k memosnap.Key) *memosnap.Snapshot { return snap },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(mb)
+	r, err := plan(p, mb)
 	if err != nil {
 		t.Fatalf("warm plan: %v", err)
 	}
@@ -144,7 +145,7 @@ func TestSnapshotRoundTripByteStable(t *testing.T) {
 	// planner: each export must be empty (the exporter emits only computed
 	// entries), and merging the empty exports into the accumulated
 	// snapshot must leave its bytes untouched.
-	p2, err := NewPlanner(g, costmodel.NewDefault(topo), Options{Workers: 1})
+	p2, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 	// exports, even with both hooks set.
 	topo := cluster.NewSummitTopology(devs)
 	sinkCalled := false
-	p, err := NewPlanner(g, costmodel.NewDefault(topo), Options{
+	p, err := NewPlanner(g, costmodel.NewDefault(topo), planner.Options{
 		Workers:        1,
 		FreshProbeMemo: true,
 		WarmMemo: func(memosnap.Key) *memosnap.Snapshot {
@@ -240,7 +241,7 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(mb)
+	r, err := plan(p, mb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +259,7 @@ func TestWarmRejectsIncompatibleSnapshots(t *testing.T) {
 // replans warm), and crossing the inter-node regime does.
 func TestSnapshotKeySensitivity(t *testing.T) {
 	g := models.MMT(models.DefaultMMTConfig())
-	keyFor := func(devices int, opts Options) memosnap.Key {
+	keyFor := func(devices int, opts planner.Options) memosnap.Key {
 		topo := cluster.NewSummitTopology(devices)
 		p, err := NewPlanner(g, costmodel.NewDefault(topo), opts)
 		if err != nil {
@@ -266,22 +267,22 @@ func TestSnapshotKeySensitivity(t *testing.T) {
 		}
 		return p.snapshotKey()
 	}
-	base := keyFor(4, Options{})
-	if k := keyFor(2, Options{}); k != base {
+	base := keyFor(4, planner.Options{})
+	if k := keyFor(2, planner.Options{}); k != base {
 		t.Errorf("device count within one regime changed the key: %+v vs %+v", k, base)
 	}
-	if k := keyFor(8, Options{}); k.CostSig == base.CostSig {
+	if k := keyFor(8, planner.Options{}); k.CostSig == base.CostSig {
 		t.Error("crossing the inter-node regime kept the cost signature")
 	}
-	if k := keyFor(4, Options{DisableSinkAnchoredSplits: true}); k.ShapeSig == base.ShapeSig {
+	if k := keyFor(4, planner.Options{DisableSinkAnchoredSplits: true}); k.ShapeSig == base.ShapeSig {
 		t.Error("split-rule change kept the shape signature")
 	}
-	if k := keyFor(4, Options{ForcedMicroBatch: 8}); k.ShapeSig == base.ShapeSig {
+	if k := keyFor(4, planner.Options{ForcedMicroBatch: 8}); k.ShapeSig == base.ShapeSig {
 		t.Error("forced micro-batch kept the shape signature")
 	}
 	g2 := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
-	p2, err := NewPlanner(g2, costmodel.NewDefault(topo), Options{})
+	p2, err := NewPlanner(g2, costmodel.NewDefault(topo), planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/synth"
 	"graphpipe/internal/trace"
 )
@@ -59,7 +60,7 @@ func Fig6(model string, systems []System) (*Fig6Result, error) {
 			// indicate that no training strategy can be found within
 			// reasonable timeframes".
 			jobs = append(jobs, Job{System: sys, Graph: g, Devices: devs, MiniBatch: mb,
-				Opts: RunOptions{PiperTimeout: 90 * time.Second}})
+				Opts: RunOptions{Options: planner.Options{Timeout: 90 * time.Second}}})
 		}
 	}
 	for i, o := range RunGrid(jobs) {

@@ -64,38 +64,18 @@ type Outcome struct {
 	Err    error
 }
 
-// RunOptions adjusts a single planner invocation.
+// RunOptions adjusts a single planner invocation: the planner options,
+// plus the evaluation backend. Run overrides CostModel with the Summit cost
+// model it evaluates on.
 type RunOptions struct {
 	// Backend selects the evaluation backend from the eval registry
 	// (default "sim"). Every measurement is reproducible on any backend:
 	// the parity tests pin that the backends agree.
 	Backend string
-	// ForcedMicroBatch fixes the micro-batch size for every system
-	// (Figure 7 right, Figure 9's "Parallel" arm).
-	ForcedMicroBatch int
-	// DisableSinkAnchoredSplits removes GraphPipe's merge-anchored
-	// partitions (§7.5) for the ablation benchmarks.
-	DisableSinkAnchoredSplits bool
-	// Workers bounds the planner's internal worker pool (0: planner
-	// default of one per CPU). RunGrid forces unset values to 1 so a
-	// grid already one-job-per-CPU wide does not nest a second
+	// Options is passed to the planner. RunGrid forces an unset Workers
+	// to 1 so a grid already one-job-per-CPU wide does not nest a second
 	// CPU-wide pool inside every job.
-	Workers int
-	// PiperBudget overrides the Piper state budget.
-	PiperBudget int
-	// PiperTimeout overrides the Piper wall-clock bound.
-	PiperTimeout time.Duration
-}
-
-// plannerOptions maps harness options onto the shared planner options.
-func (o RunOptions) plannerOptions() planner.Options {
-	return planner.Options{
-		ForcedMicroBatch:          o.ForcedMicroBatch,
-		DisableSinkAnchoredSplits: o.DisableSinkAnchoredSplits,
-		Workers:                   o.Workers,
-		StateBudget:               o.PiperBudget,
-		Timeout:                   o.PiperTimeout,
-	}
+	planner.Options
 }
 
 // Run resolves the system through the planner registry and the evaluation
@@ -126,7 +106,7 @@ func Run(sys System, g *graph.Graph, devices, miniBatch int, opts RunOptions) Ou
 		out.Failed = true
 		return out
 	}
-	popts := opts.plannerOptions()
+	popts := opts.Options
 	popts.CostModel = model
 	start := time.Now()
 	st, _, err := pl.Plan(g, topo, miniBatch, popts)

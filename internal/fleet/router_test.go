@@ -243,11 +243,19 @@ func TestRouterRejectsMalformedRequests(t *testing.T) {
 	defer backend.Close()
 
 	r, srv, _ := newTestRouter(t, RouterConfig{Backends: []string{backend.URL}})
-	for _, body := range []string{
+	bodies := []string{
 		`{not json`,
 		`{"model":"case-study","devices":4,"bogus_field":1}`,
 		`{"model":"case-study","devices":-2}`,
-	} {
+		// Hostile bodies a shard used to crash on (an overflowing
+		// micro-batch search) or spend seconds canonicalizing (unbounded
+		// synth graphs).
+		`{"model":"mmt","devices":8,"mini_batch":4611686018427387904,"options":{"max_micro_batch":4611686018427387904}}`,
+		`{"model":"synth:nested/seed=1/nesting=16","devices":4}`,
+		`{"model":"synth:fanout/seed=1/depth=1024/branches=1024","devices":4}`,
+		`{"model":"synth:skew/seed=1/skew=NaN","devices":4}`,
+	}
+	for _, body := range bodies {
 		resp, err := http.Post(srv.URL+"/v1/plan", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -260,8 +268,8 @@ func TestRouterRejectsMalformedRequests(t *testing.T) {
 	if got := backendCalls.Load(); got != 0 {
 		t.Errorf("backend saw %d calls for malformed requests, want 0", got)
 	}
-	if got := r.badRequests.Value(); got != 3 {
-		t.Errorf("bad_requests = %d, want 3", got)
+	if got := r.badRequests.Value(); got != uint64(len(bodies)) {
+		t.Errorf("bad_requests = %d, want %d", got, len(bodies))
 	}
 }
 

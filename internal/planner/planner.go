@@ -5,15 +5,22 @@
 //
 // A planner consumes a computation graph, a cluster topology, and a
 // mini-batch size, and produces a validated strategy.Strategy (conditions
-// C1–C4) ready for the simulator. Planner-specific knobs are folded into
-// one Options struct; each planner reads the fields it understands and
-// ignores the rest, so a single options value can drive a whole sweep. New
+// C1–C4) ready for the simulator. Options and Stats are the only option and
+// result types between a caller and a search: every planner reads the
+// fields of one Options value it understands and ignores the rest, so a
+// single options value can drive a whole sweep, and every planner shares
+// the one micro-batch candidate rule (Options.MicroBatchCandidates). New
 // planners register themselves from an init function and immediately become
 // available to cmd/graphpipe, cmd/experiments, and every experiment driver
-// — adding a planner is a registry entry, not a cross-cutting edit.
+// — adding a planner is a registry entry, not a cross-cutting edit. Callers
+// resolve a planner by name:
+//
+//	pl, err := planner.Get("graphpipe")
+//	st, stats, err := pl.Plan(g, topo, miniBatch, planner.Options{})
 package planner
 
 import (
+	"slices"
 	"time"
 
 	"graphpipe/internal/cluster"
@@ -29,15 +36,17 @@ type Options struct {
 	// ForcedMicroBatch restricts the search to exactly one micro-batch
 	// size (Figure 7 right, Figure 9's "Parallel" arm). All planners.
 	ForcedMicroBatch int
-	// MaxMicroBatch caps the candidate micro-batch sizes (default 4096).
-	// All planners.
+	// MaxMicroBatch caps the candidate micro-batch sizes (default
+	// DefaultMaxMicroBatch). All planners.
 	MaxMicroBatch int
 	// Workers bounds the planning worker pool: 0 means one worker per
 	// available CPU, 1 forces the sequential path. Read by planners with
 	// parallel search phases (currently graphpipe).
 	Workers int
 	// PerStageMicroBatch enables GraphPipe's fine-grained per-stage
-	// micro-batch search (§6, Figure 5). graphpipe only.
+	// micro-batch search (§6, Figure 5): stage boundaries may change the
+	// micro-batch size. Off by default, as in the paper, and more
+	// expensive to search. graphpipe only.
 	PerStageMicroBatch bool
 	// DisableSinkAnchoredSplits removes the merge-anchored partitions
 	// (§7.5) for the ablation benchmarks. graphpipe only.
@@ -45,7 +54,8 @@ type Options struct {
 	// FreshProbeMemo restores the reference search path: a fresh DP memo
 	// per binary-search probe instead of the probe-spanning memo. The
 	// chosen strategy is identical either way — the conformance harness
-	// exists to keep proving that. graphpipe only.
+	// exists to keep proving that. The reference path plans cold: it
+	// ignores WarmMemo and MemoSink. graphpipe only.
 	FreshProbeMemo bool
 	// PlacementOblivious restores the pre-placement search: the DP ignores
 	// which contiguous device block a stage lands on and costs every stage
@@ -85,6 +95,10 @@ type Options struct {
 	Span func(name string, kv ...string) func()
 }
 
+// DefaultMaxMicroBatch is the micro-batch cap a zero Options.MaxMicroBatch
+// selects.
+const DefaultMaxMicroBatch = 4096
+
 // Model resolves the cost model for a topology: the override if set, the
 // default otherwise.
 func (o Options) Model(topo *cluster.Topology) costmodel.Model {
@@ -92,6 +106,40 @@ func (o Options) Model(topo *cluster.Topology) costmodel.Model {
 		return o.CostModel
 	}
 	return costmodel.NewDefault(topo)
+}
+
+// MicroBatchCap returns the effective micro-batch cap: MaxMicroBatch, or
+// DefaultMaxMicroBatch when it is zero.
+func (o Options) MicroBatchCap() int {
+	if o.MaxMicroBatch == 0 {
+		return DefaultMaxMicroBatch
+	}
+	return o.MaxMicroBatch
+}
+
+// MicroBatchCandidates returns the micro-batch sizes every planner searches
+// for mini-batch B, largest first so ties prefer compute efficiency: just
+// ForcedMicroBatch when it is set (nil unless it divides B), otherwise the
+// powers of two that divide B, up to MicroBatchCap. The doubling stops
+// before it can overflow, whatever B and the cap are.
+func (o Options) MicroBatchCandidates(miniBatch int) []int {
+	if o.ForcedMicroBatch > 0 {
+		if miniBatch%o.ForcedMicroBatch != 0 {
+			return nil
+		}
+		return []int{o.ForcedMicroBatch}
+	}
+	var out []int
+	for b, max := 1, o.MicroBatchCap(); b <= miniBatch && b <= max; b *= 2 {
+		if miniBatch%b == 0 {
+			out = append(out, b)
+		}
+		if b > miniBatch/2 {
+			break // the next size exceeds B, and doubling could overflow
+		}
+	}
+	slices.Reverse(out)
+	return out
 }
 
 // Stats reports search statistics common to the planners. Fields a planner

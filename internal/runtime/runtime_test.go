@@ -12,6 +12,7 @@ import (
 	"graphpipe/internal/costmodel"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
 	"graphpipe/internal/schedule"
 	"graphpipe/internal/sim"
 	"graphpipe/internal/strategy"
@@ -23,15 +24,15 @@ func planned(t testing.TB, g *graph.Graph, devices, mini int) (*strategy.Strateg
 	t.Helper()
 	topo := cluster.NewSummitTopology(devices)
 	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
+	p, err := core.NewPlanner(g, m, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(mini)
+	st, _, err := p.Plan(mini)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Strategy, m
+	return st, m
 }
 
 func TestRuntimeMatchesSimulatorChain(t *testing.T) {

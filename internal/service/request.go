@@ -3,12 +3,20 @@ package service
 import (
 	"fmt"
 
+	"graphpipe/internal/cluster"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
 	"graphpipe/internal/planner"
 	"graphpipe/internal/strategy"
 	"graphpipe/internal/synth"
 )
+
+// MaxMiniBatch bounds a request's mini-batch, explicit or defaulted. It is
+// twice the largest paper pairing (CANDLE-Uno at 32 devices, 32,768). The
+// bound keeps every planner's work finite before it starts: a stage's task
+// list holds 2·B/b entries, and a mini-batch near the int range would make
+// the candidate search and the task allocation overflow.
+const MaxMiniBatch = 1 << 16
 
 // A Request is one planning question posed to the service: which model,
 // on how many devices, under which planner and result-relevant options.
@@ -55,12 +63,17 @@ func (r Request) canonicalize() (Request, *graph.Graph, error) {
 	if r.Model == "" {
 		return r, nil, fmt.Errorf("%w: missing model (known: %v)", ErrBadRequest, models.Names())
 	}
-	if r.Devices <= 0 {
-		return r, nil, fmt.Errorf("%w: devices must be positive, got %d", ErrBadRequest, r.Devices)
+	if r.Devices <= 0 || r.Devices > cluster.MaxSpecDevices {
+		return r, nil, fmt.Errorf("%w: devices must be in [1, %d], got %d",
+			ErrBadRequest, cluster.MaxSpecDevices, r.Devices)
 	}
 	if r.Branches < 0 || r.MiniBatch < 0 {
 		return r, nil, fmt.Errorf("%w: negative branches (%d) or mini-batch (%d)",
 			ErrBadRequest, r.Branches, r.MiniBatch)
+	}
+	if r.MiniBatch > MaxMiniBatch {
+		return r, nil, fmt.Errorf("%w: mini-batch %d exceeds the limit %d",
+			ErrBadRequest, r.MiniBatch, MaxMiniBatch)
 	}
 	if r.Options.ForcedMicroBatch < 0 || r.Options.MaxMicroBatch < 0 {
 		// The planners read negative option values as "unset"; admitting
@@ -96,6 +109,10 @@ func (r Request) canonicalize() (Request, *graph.Graph, error) {
 		r.Model = g.Name()
 	}
 	if r.MiniBatch == 0 {
+		if defBatch > MaxMiniBatch {
+			return r, nil, fmt.Errorf("%w: default mini-batch %d at %d devices exceeds the limit %d; set mini_batch",
+				ErrBadRequest, defBatch, r.Devices, MaxMiniBatch)
+		}
 		r.MiniBatch = defBatch
 	}
 	if f := r.Options.ForcedMicroBatch; f > 0 && r.MiniBatch%f != 0 {

@@ -350,6 +350,13 @@ func TestBadRequests(t *testing.T) {
 			Options: strategy.PlanOptions{MaxMicroBatch: -1}},
 		"non-dividing forced micro": {Model: "case-study", Devices: 4, MiniBatch: 64,
 			Options: strategy.PlanOptions{ForcedMicroBatch: 7}},
+		// Used to overflow the micro-batch candidate loop and take the
+		// process down with an integer divide by zero.
+		"2^62 mini-batch": {Model: "mmt", Devices: 8, MiniBatch: 1 << 62,
+			Options: strategy.PlanOptions{MaxMicroBatch: 1 << 62}},
+		"mini-batch over limit":         {Model: "case-study", Devices: 4, MiniBatch: MaxMiniBatch + 1},
+		"default mini-batch over limit": {Model: "candle-uno", Devices: 65},
+		"devices over limit":            {Model: "case-study", Devices: 1 << 30},
 	} {
 		if _, err := s.Plan(context.Background(), req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("%s: err = %v, want ErrBadRequest", name, err)

@@ -157,6 +157,9 @@ func TestSynthSpecBadRequests(t *testing.T) {
 		"synth:bogus/seed=1",      // unknown family
 		"synth:chain",             // missing seed
 		"synth:chain/seed=1/d=up", // unknown knob
+		"synth:skew/seed=1/skew=NaN",
+		"synth:nested/seed=1/nesting=16",               // 2^16 segments
+		"synth:fanout/seed=1/depth=1024/branches=1024", // 2^20 operators
 	} {
 		_, err := s.Plan(context.Background(), Request{Model: model, Devices: 4})
 		if !errors.Is(err, ErrBadRequest) {

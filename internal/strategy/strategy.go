@@ -268,6 +268,49 @@ func (s *Strategy) AddSequentialEdges(order []StageID) {
 	}
 }
 
+// SequentialChain assembles the synchronous 1F1B pipeline the SPP
+// baselines (PipeDream, Piper) emit: stage i runs ops[i] data-parallel over
+// devices[i] replicas at micro-batch b and holds one micro-batch per stage
+// between it and the sink ((n−i)·b in-flight samples for n stages), devices
+// are placed by cluster.PlaceStages, and consecutive stages are chained by
+// the linearization's imaginary dependencies (Figure 2, top). The result is
+// validated against g and topo; planner names the producing search.
+func SequentialChain(g *graph.Graph, topo *cluster.Topology, planner string, miniBatch, b int, ops []graph.NodeSet, devices []int) (*Strategy, error) {
+	st := &Strategy{Planner: planner, MiniBatch: miniBatch}
+	cfg := schedule.Config{MicroBatch: b, K: 1}
+	order := make([]StageID, len(ops))
+	for i, set := range ops {
+		inFlight := (len(ops) - i) * b
+		tasks, err := schedule.BuildTasks(cfg, miniBatch, inFlight)
+		if err != nil {
+			return nil, err
+		}
+		order[i] = StageID(i)
+		st.Stages = append(st.Stages, Stage{
+			ID:              order[i],
+			Ops:             set,
+			Config:          cfg,
+			InFlightSamples: inFlight,
+			Tasks:           tasks,
+		})
+	}
+	groups, err := cluster.PlaceStages(topo, devices)
+	if err != nil {
+		return nil, err
+	}
+	for i := range st.Stages {
+		st.Stages[i].Devices = groups[i]
+	}
+	if err := st.BuildEdges(g); err != nil {
+		return nil, err
+	}
+	st.AddSequentialEdges(order)
+	if err := st.Validate(g, topo); err != nil {
+		return nil, fmt.Errorf("%s: assembled strategy invalid: %w", planner, err)
+	}
+	return st, nil
+}
+
 func checkAcyclic(succ [][]StageID) error {
 	n := len(succ)
 	indeg := make([]int, n)

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"fmt"
+	"math"
 
 	"graphpipe/internal/graph"
 	"graphpipe/internal/spgraph"
@@ -15,8 +16,23 @@ import (
 // default Summit topology at the corpus's 2–8 device counts.
 type family struct {
 	resolve func(s Spec) Spec
-	build   func(s Spec, b *graph.Builder)
+	// ops bounds the operator count build emits for a resolved spec,
+	// computed from the knobs alone. It may stop counting once past
+	// MaxOps, so no knob product can overflow.
+	ops   func(s Spec) int
+	build func(s Spec, b *graph.Builder)
 }
+
+// MaxOps bounds the operators of a generated graph. Resolve rejects a spec
+// whose knobs would build more, before anything is allocated: spec strings
+// arrive over the network, and each knob alone stays below 2^16 while the
+// nested family doubles per level. Every family's derivation range, the
+// load population and the conformance corpus stay far below it.
+const MaxOps = 1 << 10
+
+// branchOps counts a branches-wide family: one merge, one head, and per
+// branch an input plus up to perBranch layers.
+func branchOps(branches, perBranch int) int { return 2 + branches*(1+perBranch) }
 
 var families = map[string]family{
 	// chain: a deep sequential stack — the degenerate SP shape every SPP
@@ -29,6 +45,7 @@ var families = map[string]family{
 			s.Nesting = 0
 			return s
 		},
+		ops:   func(s Spec) int { return s.Depth + 2 },
 		build: buildChain,
 	},
 	// fanout: many short independent branches merged by one concat — the
@@ -42,6 +59,7 @@ var families = map[string]family{
 			s.Nesting = 0
 			return s
 		},
+		ops:   func(s Spec) int { return branchOps(s.Branches, s.Depth) },
 		build: buildBranches,
 	},
 	// skew: parallel branches with deliberately imbalanced per-branch
@@ -56,6 +74,8 @@ var families = map[string]family{
 			s.Nesting = 0
 			return s
 		},
+		// Depth jitter adds up to one layer per branch.
+		ops:   func(s Spec) int { return branchOps(s.Branches, s.Depth+1) },
 		build: buildBranches,
 	},
 	// nested: recursively nested series-parallel blocks (forks inside
@@ -69,6 +89,7 @@ var families = map[string]family{
 			s.Skew = 0
 			return s
 		},
+		ops:   nestedOps,
 		build: buildNested,
 	},
 	// mixed: multimodal-like heterogeneous branches — compute-bound
@@ -82,8 +103,21 @@ var families = map[string]family{
 			s.Nesting = 0
 			return s
 		},
+		ops:   func(s Spec) int { return branchOps(s.Branches, s.Depth) },
 		build: buildMixed,
 	},
+}
+
+// nestedOps counts buildNested's operators: an input and a head around a
+// block, where a level-0 block is Depth operators and a level-L block is
+// Branches level-(L−1) blocks plus their join. The count stops growing once
+// it passes MaxOps.
+func nestedOps(s Spec) int {
+	n := s.Depth
+	for level := 0; level < s.Nesting && n <= MaxOps; level++ {
+		n = s.Branches*n + 1
+	}
+	return n + 2
 }
 
 // resolveInt keeps an explicitly set knob and otherwise draws it from
@@ -111,7 +145,9 @@ func roundSkew(f float64) float64 {
 // Explicit knobs are range-checked here — the one funnel every entry
 // point (Parse, CLI flags, Spec literals) passes through — so an
 // out-of-range pin fails loudly instead of generating a spec string
-// Parse would reject (or, for negative skew, negative operator costs).
+// Parse would reject (or, for negative or NaN skew, invalid operator
+// costs). The resolved spec's operator count is checked against MaxOps
+// here too, before Generate allocates anything.
 func Resolve(s Spec) (Spec, error) {
 	fam, ok := families[s.Family]
 	if !ok {
@@ -125,10 +161,14 @@ func Resolve(s Spec) (Spec, error) {
 			return Spec{}, fmt.Errorf("synth: %s %d out of range [1, %d]", knob.name, knob.val, 1<<16)
 		}
 	}
-	if s.Skew < 0 || s.Skew > 64 {
+	if math.IsNaN(s.Skew) || s.Skew < 0 || s.Skew > 64 {
 		return Spec{}, fmt.Errorf("synth: skew %g out of range [0, 64]", s.Skew)
 	}
-	return fam.resolve(s), nil
+	rs := fam.resolve(s)
+	if n := fam.ops(rs); n > MaxOps {
+		return Spec{}, fmt.Errorf("synth: %s would build more than %d operators", rs, MaxOps)
+	}
+	return rs, nil
 }
 
 // Generate builds the computation graph of a spec, returning the graph

@@ -1,6 +1,7 @@
 package synth_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -161,6 +162,12 @@ func TestResolveRejectsOutOfRangeKnobs(t *testing.T) {
 		"negative nesting":  {Family: "nested", Seed: 1, Nesting: -1},
 		"negative skew":     {Family: "skew", Seed: 1, Skew: -3},
 		"huge skew":         {Family: "skew", Seed: 1, Skew: 1000},
+		"NaN skew":          {Family: "skew", Seed: 1, Skew: math.NaN()},
+		"infinite skew":     {Family: "skew", Seed: 1, Skew: math.Inf(1)},
+		// Each knob is in range; the graph they build is not.
+		"nested doubling":  {Family: "nested", Seed: 1, Nesting: 16},
+		"fanout product":   {Family: "fanout", Seed: 1, Depth: 1024, Branches: 1024},
+		"chain past bound": {Family: "chain", Seed: 1, Depth: synth.MaxOps - 1},
 	} {
 		if _, err := synth.Resolve(s); err == nil {
 			t.Errorf("%s: Resolve accepted %+v", name, s)
@@ -168,5 +175,17 @@ func TestResolveRejectsOutOfRangeKnobs(t *testing.T) {
 		if _, _, err := synth.Generate(s); err == nil {
 			t.Errorf("%s: Generate accepted %+v", name, s)
 		}
+	}
+}
+
+// TestResolveOpsBoundIsTight pins MaxOps at its boundary: a chain of
+// exactly MaxOps operators (input, Depth layers, head) still generates.
+func TestResolveOpsBoundIsTight(t *testing.T) {
+	g, _, err := synth.Generate(synth.Spec{Family: "chain", Seed: 1, Depth: synth.MaxOps - 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != synth.MaxOps {
+		t.Errorf("chain at the bound has %d operators, want %d", g.Len(), synth.MaxOps)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"graphpipe/internal/eval"
 	"graphpipe/internal/graph"
 	"graphpipe/internal/models"
+	"graphpipe/internal/planner"
+	"graphpipe/internal/strategy"
 
 	_ "graphpipe/internal/eval/all"
 )
@@ -19,20 +21,20 @@ func TestGanttAndSummary(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
+	p, err := core.NewPlanner(g, m, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(32)
+	st, _, err := p.Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := evaluated(t, g, topo, m, r)
+	res := evaluated(t, g, topo, m, st)
 
-	gantt := Gantt(r.Strategy, res, 80)
+	gantt := Gantt(st, res, 80)
 	lines := strings.Split(strings.TrimRight(gantt, "\n"), "\n")
-	if len(lines) != r.Strategy.NumStages()+1 {
-		t.Errorf("gantt rows = %d, want %d stages + axis", len(lines), r.Strategy.NumStages())
+	if len(lines) != st.NumStages()+1 {
+		t.Errorf("gantt rows = %d, want %d stages + axis", len(lines), st.NumStages())
 	}
 	if !strings.Contains(gantt, "F") {
 		t.Error("gantt missing forward marks")
@@ -41,7 +43,7 @@ func TestGanttAndSummary(t *testing.T) {
 		t.Error("gantt missing backward marks")
 	}
 
-	sum := Summary(r.Strategy, res)
+	sum := Summary(st, res)
 	for _, want := range []string{"graphpipe", "stages", "depth", "throughput"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary missing %q: %s", want, sum)
@@ -80,16 +82,16 @@ func TestChromeTrace(t *testing.T) {
 	g := models.SequentialTransformer(8)
 	topo := cluster.NewSummitTopology(4)
 	m := costmodel.NewDefault(topo)
-	p, err := core.NewPlanner(g, m, core.Options{})
+	p, err := core.NewPlanner(g, m, planner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Plan(32)
+	st, _, err := p.Plan(32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := evaluated(t, g, topo, m, r)
-	data, err := ChromeTrace(r.Strategy, res)
+	res := evaluated(t, g, topo, m, st)
+	data, err := ChromeTrace(st, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,7 @@ func TestChromeTrace(t *testing.T) {
 		t.Fatalf("chrome trace not valid JSON: %v", err)
 	}
 	// Metadata per stage + one event per task.
-	want := r.Strategy.NumStages() + len(res.Timeline)
+	want := st.NumStages() + len(res.Timeline)
 	if len(events) != want {
 		t.Errorf("events = %d, want %d", len(events), want)
 	}
@@ -120,13 +122,13 @@ func TestChromeTrace(t *testing.T) {
 }
 
 // evaluated runs one iteration through the registered sim backend.
-func evaluated(t *testing.T, g *graph.Graph, topo *cluster.Topology, m costmodel.Model, r *core.Result) *eval.Report {
+func evaluated(t *testing.T, g *graph.Graph, topo *cluster.Topology, m costmodel.Model, st *strategy.Strategy) *eval.Report {
 	t.Helper()
 	ev, err := eval.Get("sim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ev.Evaluate(g, topo, r.Strategy, eval.Options{CostModel: m})
+	rep, err := ev.Evaluate(g, topo, st, eval.Options{CostModel: m})
 	if err != nil {
 		t.Fatal(err)
 	}
